@@ -1,22 +1,25 @@
 """Set-aggregation operators: learned attention pooling and its baselines.
 
 Every aggregator maps a stack of N per-element feature vectors to one
-fixed-size output. The attention variants score each feature slot with a
-linear map, normalize the scores over the set axis with a softmax, and sum
-the score-weighted features:
+fixed-size output. AttSets is one module, computed by one kernel: it scores
+each feature slot with a bias-free linear map, normalizes the scores over
+the set axis with a softmax, and sums the score-weighted features:
 
     activations = X W            one activation per feature slot
     scores      = softmax over the set axis, independently per slot
     output      = sum_n  X[n] * scores[n]
 
-Three attention layouts are provided: ``attsets_fc`` (one D x D map on
-vector sets), ``attsets_conv`` (a pointwise C x C map shared across the
-spatial locations of an [N, S, C] set -- the filter-size-1 convolutional
-form, covering both 2D and 3D feature maps since locations are flattened),
-and ``attsets_elem`` (a single scalar score per set element, broadcast over
-all of its features). Baselines: max/mean/sum pooling (no parameters) and
-a GRU that consumes the set as a sequence, which is deliberately
-order-dependent.
+The kernel sees every set as [N, S, C], passed flat as [N, S*C]; the three
+public layouts differ only in shape. ``attsets_fc`` is a D x D map on an [N, D] vector set (S = 1);
+``attsets_conv`` shares a pointwise C x C map across the S spatial
+locations of an [N, S, C] set -- the filter-size-1 convolutional form,
+covering both 2D and 3D feature maps since locations are flattened; and
+``attsets_elem`` is a D x 1 map on an [N, D] set, one scalar score per
+element broadcast over all of its features. A bias would add the same
+constant to every element's activation in a slot, which the set-axis
+softmax cancels, so there is none. Baselines: max/mean/sum pooling (no
+parameters) and a GRU that consumes the set as a sequence, which is
+deliberately order-dependent.
 
 All non-GRU aggregators are permutation invariant bit-for-bit: every
 reduction over the set axis goes through ``set_sum``/``set_max`` and every
@@ -102,10 +105,9 @@ class AttentionMap:
 class AggregatorParams:
     kind: str
     weights: dict[str, Tensor] = field(default_factory=dict)
-    use_bias: bool = False
 
 
-def aggregator_init(kind: str, width: int, seed: int = 0, use_bias: bool = False) -> AggregatorParams:
+def aggregator_init(kind: str, width: int, seed: int = 0) -> AggregatorParams:
     """Build parameters for an aggregator of the given feature width.
 
     Attention weights start at zero (exactly mean pooling); GRU gate
@@ -119,19 +121,15 @@ def aggregator_init(kind: str, width: int, seed: int = 0, use_bias: bool = False
     weights: dict[str, Tensor] = {}
     if kind in ("attsets_fc", "attsets_conv"):
         weights["W"] = T.tensor_new([width, width], "zeros", requires_grad=True)
-        if use_bias:
-            weights["b"] = T.tensor_new([1, width], "zeros", requires_grad=True)
     elif kind == "attsets_elem":
         weights["w"] = T.tensor_new([width, 1], "zeros", requires_grad=True)
-        if use_bias:
-            weights["b"] = T.tensor_new([1, 1], "zeros", requires_grad=True)
     elif kind == "gru":
         rng = np.random.default_rng(seed)
         for name in ("Wz", "Uz", "Wr", "Ur", "Wh", "Uh"):
             weights[name] = Tensor(rng.uniform(-0.1, 0.1, size=(width, width)), requires_grad=True)
         for name in ("bz", "br", "bh"):
             weights[name] = T.tensor_new([1, width], "zeros", requires_grad=True)
-    return AggregatorParams(kind=kind, weights=weights, use_bias=use_bias)
+    return AggregatorParams(kind=kind, weights=weights)
 
 
 def _require_kind(params: AggregatorParams, kind: str) -> None:
@@ -144,19 +142,34 @@ def _check_width(weight: Tensor, width: int) -> None:
         raise ShapeError(f"feature width {width} does not match weights {list(weight.shape)}")
 
 
+def _attend(x: Tensor, w: Tensor, locations: int = 1) -> tuple[Tensor, Tensor]:
+    """The one AttSets module on a set stored as [N, S*C] (S = ``locations``).
+
+    A shared C x C map (or C x 1, one score per element) scores every
+    location's C features; the scores are normalized over the set axis and
+    weight a sum over it. Returns the fused [S*C] features and the [N, S*C]
+    scores.
+    """
+    n, ch = x.shape[0], x.shape[1] // locations
+    _check_width(w, ch)
+    c = T.matmul_rows(T.reshape(x, [n * locations, ch]), w)
+    s = T.softmax_set(T.reshape(c, [n, locations * w.shape[1]]))
+    if w.shape[1] != ch:
+        s = T.repeat_cols(s, ch)
+    return T.set_sum(T.ew_binary("mul", x, s)), s
+
+
+def _set_data(fset: FeatureSet, params: AggregatorParams, kind: str, rank: int) -> Tensor:
+    _require_kind(params, kind)
+    if fset.data.data.ndim != rank:
+        layout = "[N,D]" if rank == 2 else "[N,S,C]"
+        raise ShapeError(f"{kind} needs an {layout} set, got {list(fset.data.shape)}")
+    return fset.data
+
+
 def attsets_fc(fset: FeatureSet, params: AggregatorParams) -> tuple[Tensor, AttentionMap]:
     """Feature-wise attention over an [N, D] set; returns ([D], scores)."""
-    _require_kind(params, "attsets_fc")
-    x = fset.data
-    if x.data.ndim != 2:
-        raise ShapeError(f"attsets_fc needs an [N,D] set, got {list(x.shape)}")
-    w = params.weights["W"]
-    _check_width(w, fset.width)
-    c = T.matmul_rows(x, w)
-    if params.use_bias:
-        c = T.add_rowvec(c, params.weights["b"])
-    s = T.softmax_set(c)
-    y = T.set_sum(T.ew_binary("mul", x, s))
+    y, s = _attend(_set_data(fset, params, "attsets_fc", 2), params.weights["W"])
     return y, AttentionMap(s)
 
 
@@ -166,37 +179,16 @@ def attsets_conv(fset: FeatureSet, params: AggregatorParams) -> tuple[Tensor, At
     Each of the S locations behaves exactly like ``attsets_fc`` on its
     [N, C] slice with the shared C x C map.
     """
-    _require_kind(params, "attsets_conv")
-    x = fset.data
-    if x.data.ndim != 3:
-        raise ShapeError(f"attsets_conv needs an [N,S,C] set, got {list(x.shape)}")
+    x = _set_data(fset, params, "attsets_conv", 3)
     n, s_loc, ch = x.shape
-    w = params.weights["W"]
-    _check_width(w, ch)
-    c = T.matmul_rows(T.reshape(x, [n * s_loc, ch]), w)
-    if params.use_bias:
-        c = T.add_rowvec(c, params.weights["b"])
-    scores = T.softmax_set(T.reshape(c, [n, s_loc * ch]))
-    weighted = T.ew_binary("mul", T.reshape(x, [n, s_loc * ch]), scores)
-    y = T.reshape(T.set_sum(weighted), [s_loc, ch])
-    return y, AttentionMap(T.reshape(scores, [n, s_loc, ch]))
+    y, s = _attend(T.reshape(x, [n, s_loc * ch]), params.weights["W"], s_loc)
+    return T.reshape(y, [s_loc, ch]), AttentionMap(T.reshape(s, [n, s_loc, ch]))
 
 
 def attsets_elem(fset: FeatureSet, params: AggregatorParams) -> tuple[Tensor, AttentionMap]:
     """Element-wise attention: one scalar score per set element, shared by
     all of that element's features."""
-    _require_kind(params, "attsets_elem")
-    x = fset.data
-    if x.data.ndim != 2:
-        raise ShapeError(f"attsets_elem needs an [N,D] set, got {list(x.shape)}")
-    w = params.weights["w"]
-    _check_width(w, fset.width)
-    a = T.matmul_rows(x, w)
-    if params.use_bias:
-        a = T.add_rowvec(a, params.weights["b"])
-    s_col = T.softmax_set(a)
-    s = T.repeat_cols(s_col, fset.width)
-    y = T.set_sum(T.ew_binary("mul", x, s))
+    y, s = _attend(_set_data(fset, params, "attsets_elem", 2), params.weights["w"])
     return y, AttentionMap(s)
 
 

@@ -88,6 +88,8 @@ def _load_split(cfg, split: str):
 
 
 def cmd_train(args) -> int:
+    from dataclasses import replace
+
     from .aggregators import ATTENTION_KINDS
     from .model import model_init, save_checkpoint
     from .training import faset_stage1, faset_stage2, finetune, joint_train
@@ -114,9 +116,7 @@ def cmd_train(args) -> int:
         if args.mode == "faset":
             print(f"note: aggregator {kind!r} has no separable attention stage; "
                   f"stage 1 trains the whole network and stage 2 is routed to finetune")
-        stage1 = joint_train(params, trainset,
-                             _clone_cfg(train_cfg, n_mode="fixed:1",
-                                        stage1_steps=train_cfg.stage1_steps, stage2_steps=0))
+        stage1 = joint_train(params, trainset, replace(train_cfg, n_mode="fixed:1", stage2_steps=0))
         stage1.stage = "stage1"
         save("stage1", stage1)
         save("stage2", finetune(params, trainset, train_cfg))
@@ -125,12 +125,6 @@ def cmd_train(args) -> int:
     save("stage1", faset_stage1(params, trainset, train_cfg))
     save("stage2", faset_stage2(params, trainset, train_cfg))
     return EXIT_OK
-
-
-def _clone_cfg(train_cfg, **patch):
-    from dataclasses import replace
-
-    return replace(train_cfg, **patch)
 
 
 def cmd_eval(args) -> int:

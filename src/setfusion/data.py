@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError, FormatError, GenerationError
-from .metrics import iou
+from .metrics import best_threshold, iou
 
 __all__ = [
     "ShapeSpec",
@@ -256,10 +256,7 @@ def _informativeness_report(meta, grids, first_views) -> dict:
     train_gt = np.stack(grids["train"]).astype(np.float64)
     test_gt = np.stack(grids["test"])
     freq = train_gt.mean(axis=0)
-    thresholds = [round(0.20 + 0.05 * i, 2) for i in range(13)]
-    const_best = max(
-        (float(np.mean([iou(freq, gt, p) for gt in test_gt])), -p) for p in thresholds)
-    const_iou, const_p = const_best[0], -const_best[1]
+    const_p, const_iou = best_threshold([(freq, gt) for gt in test_gt])
 
     train_v = np.stack(first_views["train"])
     test_v = np.stack(first_views["test"])

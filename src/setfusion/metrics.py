@@ -19,7 +19,7 @@ aggregators always see identical inputs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,28 +30,26 @@ __all__ = [
     "EvalReport",
     "iou",
     "default_thresholds",
+    "best_threshold",
     "choose_views",
     "threshold_search",
     "eval_sweep",
 ]
 
 
+_THRESHOLDS = tuple(round(0.20 + 0.05 * i, 2) for i in range(13))
+
+
 def default_thresholds() -> tuple[float, ...]:
-    return tuple(round(0.20 + 0.05 * i, 2) for i in range(13))
+    return _THRESHOLDS
 
 
 @dataclass
 class EvalConfig:
-    thresholds: tuple = field(default_factory=default_thresholds)
     view_counts: tuple = (1, 2, 3, 4, 5, 8)
     seed: int = 0
 
     def validate(self) -> None:
-        t = list(self.thresholds)
-        if any(not 0.0 < p < 1.0 for p in t):
-            raise ContractError("thresholds must lie strictly inside (0, 1)")
-        if any(b <= a for a, b in zip(t, t[1:])):
-            raise ContractError("thresholds must be strictly increasing")
         if any(n < 1 for n in self.view_counts):
             raise ContractError("view counts must be >= 1")
 
@@ -77,6 +75,17 @@ def iou(pred, gt, p: float) -> float:
     if union == 0:
         return 1.0
     return int(np.count_nonzero(binarized & ht)) / union
+
+
+def best_threshold(pairs) -> tuple[float, float]:
+    """(threshold, mean IoU at it) over the grid for (probs, gt) pairs; the
+    smallest maximizer on ties."""
+    best_p, best_iou = None, -1.0
+    for p in _THRESHOLDS:
+        mean_iou = float(np.mean([iou(probs, gt, p) for probs, gt in pairs]))
+        if mean_iou > best_iou:
+            best_p, best_iou = p, mean_iou
+    return best_p, best_iou
 
 
 def choose_views(seed: int, sample_id: int, n: int, available: int) -> np.ndarray:
@@ -106,12 +115,7 @@ def threshold_search(params, testset, cfg: EvalConfig, n: int) -> tuple[float, f
     if not testset:
         raise ContractError("threshold search needs a non-empty test set")
     preds = _predicted_probs(params, testset, cfg, n)
-    best_p, best_iou = None, -1.0
-    for p in cfg.thresholds:
-        mean_iou = float(np.mean([iou(probs, gt, p) for _, probs, gt in preds]))
-        if mean_iou > best_iou:
-            best_p, best_iou = p, mean_iou
-    return best_p, best_iou
+    return best_threshold([(probs, gt) for _, probs, gt in preds])
 
 
 @dataclass
@@ -163,11 +167,7 @@ def eval_sweep(params, testset, cfg: EvalConfig, method: str | None = None) -> E
     rows, per_sample = [], {}
     for n in cfg.view_counts:
         preds = _predicted_probs(params, testset, cfg, n)
-        best_p, best_iou = None, -1.0
-        for p in cfg.thresholds:
-            mean_iou = float(np.mean([iou(probs, gt, p) for _, probs, gt in preds]))
-            if mean_iou > best_iou:
-                best_p, best_iou = p, mean_iou
+        best_p, best_iou = best_threshold([(probs, gt) for _, probs, gt in preds])
         pairs = [(sid, iou(probs, gt, best_p)) for sid, probs, gt in preds]
         rows.append({"n": n, "threshold": best_p, "mean_iou": best_iou,
                      "n_samples": len(testset)})

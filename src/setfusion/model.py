@@ -206,6 +206,8 @@ def predict(views, params: ParamBundle) -> tuple[VoxelGrid, AttentionMap | None]
     The attention map is returned only for attention aggregators.
     """
     cfg = params.cfg
+    if cfg is None:
+        raise ContractError("the bundle has no model config; pass cfg to load_checkpoint")
     views = list(views)
     if not views:
         raise ContractError("predict needs at least one view")
@@ -275,7 +277,11 @@ def load_checkpoint(path, cfg: ModelConfig | None = None) -> ParamBundle:
     groups: dict[str, dict[str, Tensor]] = {"base": {}, "att": {}}
     for _ in range(count):
         name_len = r.u32("name length")
-        name = r.take(name_len, "name").decode("utf-8")
+        name_off = r.off
+        try:
+            name = r.take(name_len, "name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError("tensor name is not valid UTF-8", offset=name_off) from None
         tag_byte = r.take(1, "group tag")[0]
         if tag_byte not in _TAG_GROUPS:
             raise FormatError(f"unknown group tag {tag_byte}", offset=r.off - 1)

@@ -467,7 +467,11 @@ def repeat_cols(a: Tensor, width: int) -> Tensor:
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
+    """``a`` with new extents; ``a`` itself when they are unchanged, so a
+    no-op reshape records nothing on the tape."""
     shape = tuple(int(s) for s in shape)
+    if shape == a.shape:
+        return a
     if int(np.prod(shape, dtype=np.int64)) != a.size:
         raise ShapeError(f"cannot reshape {list(a.shape)} to {list(shape)}")
     out = Tensor(a.data.reshape(shape))

@@ -103,6 +103,24 @@ def test_conv_zero_weights_is_per_location_mean():
     attn.validate()
 
 
+def test_conv_c1_is_fc_per_location():
+    # C = 1: the 1 x 1 map scores every location, nothing to broadcast
+    rng = np.random.default_rng(24)
+    x = rng.standard_normal((4, 3, 1))
+    w = rng.standard_normal((1, 1))
+    pc = ag.aggregator_init("attsets_conv", 1)
+    pc.weights["W"] = Tensor(w, requires_grad=True)
+    pf = ag.aggregator_init("attsets_fc", 1)
+    pf.weights["W"] = Tensor(w, requires_grad=True)
+    y, attn = ag.attsets_conv(ag.FeatureSet(Tensor(x)), pc)
+    assert y.shape == (3, 1)
+    for loc in range(3):
+        yf, af = ag.attsets_fc(fset(x[:, loc, :]), pf)
+        assert np.array_equal(y.data[loc], yf.data)
+        assert np.array_equal(attn.scores.data[:, loc, :], af.scores.data)
+    attn.validate()
+
+
 # ----------------------------------------------------------- attsets_elem
 
 def test_elem_zero_weights_is_mean():
@@ -215,27 +233,6 @@ def test_init_unknown_kind():
         ag.aggregator_init("bilinear", 4)
 
 
-def test_use_bias_flag():
-    rng = np.random.default_rng(51)
-    x = rng.standard_normal((3, 4))
-    params = ag.aggregator_init("attsets_fc", 4, use_bias=True)
-    assert set(params.weights) == {"W", "b"}
-    # per-slot constant shifts cancel in the softmax, so zero weights with
-    # any bias still reduce to mean pooling
-    params.weights["b"] = Tensor(rng.standard_normal((1, 4)), requires_grad=True)
-    y, _ = ag.attsets_fc(fset(x), params)
-    assert np.allclose(y.data, mean_pool(x), rtol=0, atol=1e-12)
-    # a nonzero weight plus bias changes the fused output
-    params.weights["W"] = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
-    y2, attn = ag.attsets_fc(fset(x), params)
-    assert not np.array_equal(y2.data, y.data)
-    attn.validate()
-    # single-element identity is bias-proof
-    y1, attn1 = ag.attsets_fc(fset(x[:1]), params)
-    assert np.array_equal(y1.data, x[0])
-    assert np.array_equal(attn1.scores.data, np.ones((1, 4)))
-
-
 # ---------------------------------------------------- permutation behavior
 
 def test_permutation_invariance_bit_exact():
@@ -293,10 +290,18 @@ def test_attention_map_invariants_on_random_forwards():
 
 # -------------------------------------------------------- weight gradients
 
-def _fc_loss(x, w_tensor, rvec):
-    params = ag.AggregatorParams("attsets_fc", {"W": w_tensor})
-    y, _ = ag.attsets_fc(ag.FeatureSet(Tensor(x)), params)
-    return T.reduce_sum(T.ew_binary("mul", y, Tensor(rvec)), 0)
+# kind: (weight name, set shape, weight shape) at N = 4
+ATT_CASES = {
+    "attsets_fc": ("W", (4, 6), (6, 6)),
+    "attsets_elem": ("w", (4, 6), (6, 1)),
+    "attsets_conv": ("W", (4, 3, 6), (6, 6)),
+}
+
+
+def _att_loss(kind, x, w_tensor, rvec):
+    params = ag.AggregatorParams(kind, {ATT_CASES[kind][0]: w_tensor})
+    y, _ = getattr(ag, kind)(ag.FeatureSet(Tensor(x)), params)
+    return T.reduce_sum(T.ew_binary("mul", T.reshape(y, [y.size]), Tensor(rvec)), 0)
 
 
 def test_weight_gradient_zero_at_single_element():
@@ -305,24 +310,26 @@ def test_weight_gradient_zero_at_single_element():
     rvec = rng.standard_normal(6)
     w = Tensor(rng.standard_normal((6, 6)), requires_grad=True)
     with T.Tape() as tape:
-        loss = _fc_loss(x, w, rvec)
+        loss = _att_loss("attsets_fc", x, w, rvec)
         tape.backward(loss)
     assert np.array_equal(w.grad, np.zeros(36))
-    fd = T.finite_diff_grad(lambda t: _fc_loss(x, t, rvec), w)
+    fd = T.finite_diff_grad(lambda t: _att_loss("attsets_fc", x, t, rvec), w)
     assert np.abs(fd.data).max() < 1e-8
 
 
-def test_weight_gradient_nonzero_at_two_elements():
+@pytest.mark.parametrize("kind", list(ATT_CASES))
+def test_weight_gradient_nonzero_at_two_elements(kind):
+    _, set_shape, w_shape = ATT_CASES[kind]
     rng = np.random.default_rng(71)
-    x = rng.standard_normal((4, 6))
-    rvec = rng.standard_normal(6)
-    w = Tensor(rng.standard_normal((6, 6)) * 0.3, requires_grad=True)
+    x = rng.standard_normal(set_shape)
+    rvec = rng.standard_normal(int(np.prod(set_shape[1:])))
+    w = Tensor(rng.standard_normal(w_shape) * 0.3, requires_grad=True)
     with T.Tape() as tape:
-        loss = _fc_loss(x, w, rvec)
+        loss = _att_loss(kind, x, w, rvec)
         tape.backward(loss)
-    ad = w.grad.reshape(6, 6)
+    ad = w.grad.reshape(w_shape)
     assert np.abs(ad).max() > 0
-    fd = T.finite_diff_grad(lambda t: _fc_loss(x, t, rvec), w).data
+    fd = T.finite_diff_grad(lambda t: _att_loss(kind, x, t, rvec), w).data
     denom = np.maximum(np.maximum(np.abs(ad), np.abs(fd)), 1e-8)
     assert (np.abs(ad - fd) / denom).max() < 1e-5
 

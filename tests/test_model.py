@@ -120,6 +120,13 @@ def test_predict_rejects_empty_and_overfull():
         M.predict(rand_views(np.random.default_rng(0), 3), params)
 
 
+def test_predict_needs_a_model_config(tmp_path):
+    path = tmp_path / "model.sfck"
+    M.save_checkpoint(M.model_init(tiny_cfg()), path)
+    with pytest.raises(ContractError, match="no model config"):
+        M.predict(rand_views(np.random.default_rng(0), 1), M.load_checkpoint(path))
+
+
 def test_predict_single_view_matches_mean_pool_given_same_base():
     rng = np.random.default_rng(4)
     att_model = M.model_init(tiny_cfg(aggregator_kind="attsets_fc", seed=9))
@@ -216,3 +223,15 @@ def test_checkpoint_truncation_reports_offset(tmp_path):
     with pytest.raises(FormatError) as exc:
         M.load_checkpoint(path)
     assert exc.value.offset is not None
+
+
+def test_checkpoint_non_utf8_name_reports_offset(tmp_path):
+    params = M.model_init(tiny_cfg())
+    path = tmp_path / "model.sfck"
+    M.save_checkpoint(params, path)
+    blob = bytearray(path.read_bytes())
+    blob[17] ^= 0xFF  # second byte of the first tensor name, which starts at byte 16
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="UTF-8") as exc:
+        M.load_checkpoint(path)
+    assert exc.value.offset == 16

@@ -290,6 +290,13 @@ def test_backward_rejects_second_call():
             tape.backward(loss)
 
 
+def test_reshape_to_same_extents_records_nothing():
+    x = T.Tensor(np.ones((2, 3)), requires_grad=True)
+    with T.Tape() as tape:
+        assert T.reshape(x, [2, 3]) is x
+    assert tape.entries == []
+
+
 def test_backward_rejects_nonscalar():
     x = T.Tensor([1.0, 2.0], requires_grad=True)
     with T.Tape() as tape:
