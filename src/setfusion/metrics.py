@@ -38,6 +38,7 @@ __all__ = [
 
 
 _THRESHOLDS = tuple(round(0.20 + 0.05 * i, 2) for i in range(13))
+_GRID = np.array(_THRESHOLDS)
 
 
 def default_thresholds() -> tuple[float, ...]:
@@ -79,13 +80,28 @@ def iou(pred, gt, p: float) -> float:
 
 def best_threshold(pairs) -> tuple[float, float]:
     """(threshold, mean IoU at it) over the grid for (probs, gt) pairs; the
-    smallest maximizer on ties."""
-    best_p, best_iou = None, -1.0
-    for p in _THRESHOLDS:
-        mean_iou = float(np.mean([iou(probs, gt, p) for probs, gt in pairs]))
-        if mean_iou > best_iou:
-            best_p, best_iou = p, mean_iou
-    return best_p, best_iou
+    smallest maximizer on ties.
+
+    Each pair is binarized at every grid threshold in one pass; the IoU
+    values and their means are bit-identical to calling ``iou`` per
+    (pair, threshold).
+    """
+    pairs = list(pairs)
+    if not pairs:
+        raise ContractError("threshold search needs at least one (probs, gt) pair")
+    ious = np.empty((len(_GRID), len(pairs)))
+    for j, (probs, gt) in enumerate(pairs):
+        hp = _probs_of(probs)
+        ht = np.asarray(gt).reshape(-1) > 0.5
+        if hp.size != ht.size:
+            raise ShapeError(f"grid sizes differ: {hp.size} vs {ht.size}")
+        binarized = hp[None] > _GRID[:, None]
+        union = np.count_nonzero(binarized | ht, axis=1)
+        inter = np.count_nonzero(binarized & ht, axis=1)
+        ious[:, j] = np.divide(inter, union, out=np.ones(len(_GRID)), where=union > 0)
+    means = ious.mean(axis=1)
+    k = int(np.argmax(means))  # the first maximum: the smallest maximizer
+    return _THRESHOLDS[k], float(means[k])
 
 
 def choose_views(seed: int, sample_id: int, n: int, available: int) -> np.ndarray:

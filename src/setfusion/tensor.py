@@ -9,6 +9,9 @@ rest of the package leans on:
   and only for results that depend on a tensor with ``requires_grad``.
   Without an active tape every op is a plain numpy computation, so
   evaluation paths carry no autodiff overhead.
+* Backward computes only the products that reach a ``requires_grad`` leaf:
+  each closure is told which of its inputs need a gradient and skips the
+  others, so a frozen weight, an input image or a constant costs nothing.
 * ``set_sum`` / ``set_max`` reduce over the leading axis in a canonical
   (value-sorted) accumulation order, which makes reductions over an
   unordered set bit-stable under reordering of the rows. ``reduce_sum``
@@ -22,6 +25,7 @@ rest of the package leans on:
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -149,12 +153,17 @@ class Tape:
     Entries are appended in execution order, so inputs always precede the
     op that consumes them; the reverse sweep visits each entry exactly once.
     A tape can be consumed by ``backward`` at most once.
+
+    A tensor becomes a node only when it leads to a ``requires_grad`` leaf:
+    such a leaf itself, or the output of an op with at least one such input.
+    Being a node is that flag, so an op whose inputs are all non-nodes is
+    not recorded, and an entry's non-node inputs get no id and no gradient.
     """
 
     _active: "Tape | None" = None
 
     def __init__(self):
-        self.entries: list[tuple[int, tuple[int, ...], Callable]] = []
+        self.entries: list[tuple[int, tuple[int | None, ...], tuple[bool, ...], Callable]] = []
         self.tensors: list[Tensor] = []
         self._ids: dict[int, int] = {}
         self.consumed = False
@@ -168,6 +177,10 @@ class Tape:
     def __exit__(self, exc_type, exc, tb) -> None:
         Tape._active = None
 
+    def needs(self, t: Tensor) -> bool:
+        """Whether ``t`` leads to a ``requires_grad`` leaf."""
+        return t.requires_grad or id(t) in self._ids
+
     def node(self, t: Tensor) -> int:
         nid = self._ids.get(id(t))
         if nid is None:
@@ -178,10 +191,11 @@ class Tape:
             t.tape = self
         return nid
 
-    def record(self, out: Tensor, inputs: Sequence[Tensor], backward_fn: Callable) -> None:
-        in_ids = tuple(self.node(t) for t in inputs)
+    def record(self, out: Tensor, inputs: Sequence[Tensor], need: tuple[bool, ...],
+               backward_fn: Callable) -> None:
+        in_ids = tuple(self.node(t) if n else None for t, n in zip(inputs, need))
         out_id = self.node(out)
-        self.entries.append((out_id, in_ids, backward_fn))
+        self.entries.append((out_id, in_ids, need, backward_fn))
 
     def backward(self, loss: Tensor) -> None:
         if self.consumed:
@@ -195,12 +209,12 @@ class Tape:
 
         grads: list[np.ndarray | None] = [None] * len(self.tensors)
         grads[lid] = np.ones_like(loss.data)
-        for out_id, in_ids, backward_fn in reversed(self.entries):
+        for out_id, in_ids, need, backward_fn in reversed(self.entries):
             g = grads[out_id]
             if g is None:
                 continue
-            for nid, piece in zip(in_ids, backward_fn(g)):
-                if piece is None:
+            for nid, piece in zip(in_ids, backward_fn(g, need)):
+                if nid is None or piece is None:
                     continue
                 if grads[nid] is None:
                     grads[nid] = piece.copy()
@@ -218,16 +232,19 @@ def backward(loss: Tensor) -> None:
     loss.tape.backward(loss)
 
 
-def _tracked(*tensors: Tensor) -> bool:
-    tape = Tape._active
-    if tape is None:
-        return False
-    return any(t.requires_grad or id(t) in tape._ids for t in tensors)
-
-
 def _record(out: Tensor, inputs: Sequence[Tensor], backward_fn: Callable) -> Tensor:
-    if _tracked(*inputs):
-        Tape._active.record(out, inputs, backward_fn)
+    """Record ``out`` if some input leads to a ``requires_grad`` leaf.
+
+    ``backward_fn(g, need)`` returns one gradient (or None) per input.
+    ``need[i]`` says whether input ``i`` leads to a ``requires_grad`` leaf;
+    a closure returns None where it does not, rather than computing a
+    product nobody reads (backward drops such a piece either way).
+    """
+    tape = Tape._active
+    if tape is not None:
+        need = tuple(tape.needs(t) for t in inputs)
+        if any(need):
+            tape.record(out, inputs, need, backward_fn)
     return out
 
 
@@ -269,8 +286,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data @ b.data)
     _check_finite(out.data, "matmul")
 
-    def bwd(g):
-        return (g @ b.data.T, a.data.T @ g)
+    def bwd(g, need):
+        return (g @ b.data.T if need[0] else None, a.data.T @ g if need[1] else None)
 
     return _record(out, (a, b), bwd)
 
@@ -290,8 +307,8 @@ def matmul_rows(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(np.vstack(rows))
     _check_finite(out.data, "matmul_rows")
 
-    def bwd(g):
-        return (g @ b.data.T, a.data.T @ g)
+    def bwd(g, need):
+        return (g @ b.data.T if need[0] else None, a.data.T @ g if need[1] else None)
 
     return _record(out, (a, b), bwd)
 
@@ -315,11 +332,13 @@ def ew_binary(op: str, a: Tensor, b: Tensor) -> Tensor:
         return g
 
     if op == "add":
-        def bwd(g):
-            return (reduce_to(g, a, a_scalar), reduce_to(g, b, b_scalar))
+        def bwd(g, need):
+            return (reduce_to(g, a, a_scalar) if need[0] else None,
+                    reduce_to(g, b, b_scalar) if need[1] else None)
     else:
-        def bwd(g):
-            return (reduce_to(g * b.data, a, a_scalar), reduce_to(g * a.data, b, b_scalar))
+        def bwd(g, need):
+            return (reduce_to(g * b.data, a, a_scalar) if need[0] else None,
+                    reduce_to(g * a.data, b, b_scalar) if need[1] else None)
 
     return _record(out, (a, b), bwd)
 
@@ -333,15 +352,17 @@ def map_unary(op: str, a: Tensor) -> Tensor:
                 y = np.exp(x)
             except FloatingPointError:
                 raise NumericOverflowError("exp overflow; stabilize inputs before exponentiating") from None
-        def bwd(g, y=y):
+        def bwd(g, need, y=y):
             return (g * y,)
     elif op == "sigmoid":
-        y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-        def bwd(g, y=y):
+        e = np.exp(-np.abs(x))
+        d = 1.0 + e
+        y = np.where(x >= 0, 1.0 / d, e / d)
+        def bwd(g, need, y=y):
             return (g * y * (1.0 - y),)
     elif op == "relu":
         y = np.maximum(x, 0.0)
-        def bwd(g, x=x):
+        def bwd(g, need, x=x):
             return (g * (x > 0.0),)
     else:
         raise ContractError(f"unknown unary op {op!r}")
@@ -385,7 +406,7 @@ def softmax_set(c: Tensor) -> Tensor:
     out = Tensor(s)
     _check_finite(out.data, "softmax_set")
 
-    def bwd(g, s=s):
+    def bwd(g, need, s=s):
         return (s * (g - (g * s).sum(axis=0, keepdims=True)),)
 
     return _record(out, (c,), bwd)
@@ -399,7 +420,7 @@ def reduce_sum(a: Tensor, axis: int) -> Tensor:
     out = Tensor(a.data.sum(axis=axis))
     _check_finite(out.data, "reduce_sum")
 
-    def bwd(g):
+    def bwd(g, need):
         return (np.repeat(np.expand_dims(g, axis), a.shape[axis], axis=axis),)
 
     return _record(out, (a,), bwd)
@@ -416,7 +437,7 @@ def set_sum(a: Tensor) -> Tensor:
     out = Tensor(_sorted_axis0_sum(a.data))
     _check_finite(out.data, "set_sum")
 
-    def bwd(g):
+    def bwd(g, need):
         return (np.broadcast_to(g, a.shape).copy(),)
 
     return _record(out, (a,), bwd)
@@ -431,7 +452,7 @@ def set_max(a: Tensor) -> Tensor:
     _check_finite(out.data, "set_max")
     winners = a.data.argmax(axis=0)
 
-    def bwd(g, winners=winners):
+    def bwd(g, need, winners=winners):
         full = np.zeros_like(a.data)
         np.put_along_axis(full, winners[None, ...], g[None, ...], axis=0)
         return (full,)
@@ -448,8 +469,8 @@ def add_rowvec(mat: Tensor, row: Tensor) -> Tensor:
     out = Tensor(mat.data + row.data)
     _check_finite(out.data, "add_rowvec")
 
-    def bwd(g):
-        return (g, g.sum(axis=0, keepdims=True))
+    def bwd(g, need):
+        return (g if need[0] else None, g.sum(axis=0, keepdims=True) if need[1] else None)
 
     return _record(out, (mat, row), bwd)
 
@@ -460,7 +481,7 @@ def repeat_cols(a: Tensor, width: int) -> Tensor:
         raise ShapeError(f"repeat_cols needs an [N,1] tensor, got {list(a.shape)}")
     out = Tensor(np.repeat(a.data, width, axis=1))
 
-    def bwd(g):
+    def bwd(g, need):
         return (g.sum(axis=1, keepdims=True),)
 
     return _record(out, (a,), bwd)
@@ -472,11 +493,11 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(int(s) for s in shape)
     if shape == a.shape:
         return a
-    if int(np.prod(shape, dtype=np.int64)) != a.size:
+    if math.prod(shape) != a.size:
         raise ShapeError(f"cannot reshape {list(a.shape)} to {list(shape)}")
     out = Tensor(a.data.reshape(shape))
 
-    def bwd(g):
+    def bwd(g, need):
         return (g.reshape(a.shape),)
 
     return _record(out, (a,), bwd)
@@ -490,7 +511,7 @@ def take_row(a: Tensor, i: int) -> Tensor:
         raise ShapeError(f"row {i} out of range for {list(a.shape)}")
     out = Tensor(a.data[i : i + 1].copy())
 
-    def bwd(g):
+    def bwd(g, need):
         full = np.zeros_like(a.data)
         full[i] = g[0]
         return (full,)
@@ -509,8 +530,8 @@ def stack_rows(tensors: Iterable[Tensor]) -> Tensor:
         raise ShapeError("stack_rows needs equal row widths")
     out = Tensor(np.vstack(rows))
 
-    def bwd(g):
-        return tuple(g[i].reshape(ts[i].shape) for i in range(len(ts)))
+    def bwd(g, need):
+        return tuple(g[i].reshape(ts[i].shape) if need[i] else None for i in range(len(ts)))
 
     return _record(out, ts, bwd)
 
@@ -529,7 +550,7 @@ def bce_loss(pred: Tensor, target: Tensor) -> Tensor:
     _check_finite(out.data, "bce_loss")
     n = pred.size
 
-    def bwd(g, p=p, t=t, n=n):
+    def bwd(g, need, p=p, t=t, n=n):
         inside = (pred.data > _BCE_EPS) & (pred.data < 1.0 - _BCE_EPS)
         dp = (p - t) / (p * (1.0 - p)) / n * inside
         return (float(g) * dp, None)

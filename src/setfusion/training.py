@@ -6,12 +6,18 @@ The two-stage schedule splits optimization by parameter group:
   single-image reconstructions. Each drawn image runs through the full
   pipeline as a one-element set, and the loss is the mean over all M*N
   single-image reconstructions of the step. Attention weights receive
-  exactly zero gradient on one-element sets, and the structural group mask
-  guarantees they stay bit-identical regardless of optimizer state.
+  exactly zero gradient on one-element sets; they are frozen for the stage
+  all the same, so they stay bit-identical regardless of optimizer state.
 * Stage 2 trains only the ``att`` group on multi-element sets, with the
   loss averaged over the M per-set reconstructions. The base group is
-  masked out, so single-view behavior after stage 2 is bit-identical to
-  the stage-1 checkpoint.
+  frozen, so single-view behavior after stage 2 is bit-identical to the
+  stage-1 checkpoint.
+
+Freezing means not differentiating: for the length of a stage, the tensors
+outside its group have ``requires_grad`` cleared, so the tape neither
+records the ops that touch only them (stage 2 leaves the encoder off the
+tape) nor forms their weight gradients. It is not a mask applied to
+gradients computed and thrown away.
 
 ``joint_train`` is the ablation control: one loss, all parameters updated
 together under the configured set-size regime. ``finetune`` updates every
@@ -60,6 +66,9 @@ log = logging.getLogger(__name__)
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# Adam walks each tensor in blocks of this many elements, so the block's
+# slices of data, grad, m, v and the scratch buffer (5 x 128 KB) stay in L2.
+ADAM_BLOCK = 16384
 
 
 @dataclass
@@ -153,45 +162,62 @@ def sample_minibatch(dataset, cfg: TrainConfig, step: int, n_mode: str | None = 
 
 
 class OptimizerState:
-    """Per-tensor Adam moments, keyed by parameter name."""
+    """Per-tensor Adam moments (flat), keyed by parameter name, and the one
+    block-sized scratch buffer every update reuses."""
 
     def __init__(self):
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.t: dict[str, int] = {}
+        self.scratch = np.empty(ADAM_BLOCK)
 
 
 def optimizer_step(params: ParamBundle, group: str, lr: float, state: OptimizerState,
                    optimizer: str = "adam") -> None:
-    """Apply one update to the named group; all other tensors stay untouched."""
+    """Apply one update to the named group; all other tensors stay untouched.
+
+    Adam runs allocation-free over ``ADAM_BLOCK``-element blocks of each
+    tensor's flat views. Every op is elementwise, so the blocking cannot
+    change a bit of the result.
+    """
     for name, _, tensor in params.named(group):
         if tensor.grad is None:
             raise ContractError(f"parameter {name!r} has no gradient; run backward first")
-        g = tensor.grad.reshape(tensor.shape)
         if optimizer == "sgd":
-            tensor.data -= lr * g
+            tensor.data -= lr * tensor.grad.reshape(tensor.shape)
             continue
         if optimizer != "adam":
             raise ContractError(f"unknown optimizer {optimizer!r}")
+        g = tensor.grad.reshape(-1)
         t = state.t.get(name, 0) + 1
         m = state.m.get(name)
         v = state.v.get(name)
         if m is None:
-            m = np.zeros_like(g)
-            v = np.zeros_like(g)
+            m = np.zeros(g.size)
+            v = np.zeros(g.size)
             state.m[name], state.v[name] = m, v
         state.t[name] = t
-        # in-place moment updates: the big decoder matrix makes fresh
-        # temporaries here the single most expensive allocation in training
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (g * g)
-        denom = np.sqrt(v / (1.0 - ADAM_BETA2 ** t))
-        denom += ADAM_EPS
-        step = np.divide(m, denom, out=denom)
-        step *= lr / (1.0 - ADAM_BETA1 ** t)
-        tensor.data -= step
+        if not tensor.data.flags.c_contiguous:  # the flat view must alias the data
+            tensor.data = np.ascontiguousarray(tensor.data)
+        data = tensor.data.reshape(-1)
+        bc2 = 1.0 - ADAM_BETA2 ** t
+        step_size = lr / (1.0 - ADAM_BETA1 ** t)
+        for lo in range(0, g.size, ADAM_BLOCK):
+            hi = min(lo + ADAM_BLOCK, g.size)
+            gb, mb, vb, buf = g[lo:hi], m[lo:hi], v[lo:hi], state.scratch[: hi - lo]
+            mb *= ADAM_BETA1
+            np.multiply(gb, 1.0 - ADAM_BETA1, out=buf)
+            mb += buf
+            vb *= ADAM_BETA2
+            np.multiply(gb, gb, out=buf)
+            buf *= 1.0 - ADAM_BETA2
+            vb += buf
+            np.divide(vb, bc2, out=buf)
+            np.sqrt(buf, out=buf)
+            buf += ADAM_EPS
+            np.divide(mb, buf, out=buf)
+            buf *= step_size
+            data[lo:hi] -= buf
 
 
 def _set_loss(params: ParamBundle, sets) -> Tensor:
@@ -225,16 +251,24 @@ def _run(params: ParamBundle, dataset, cfg: TrainConfig, *, stage: str, steps: i
     cfg.validate()
     state = OptimizerState()
     losses: list[float] = []
+    trained = params.group(group)
+    frozen = [t for name, _, t in params.named("all") if name not in trained and t.requires_grad]
     start = time.perf_counter()
-    for step in range(steps):
-        batch = sample_minibatch(dataset, cfg, step, n_mode=n_mode)
-        sets = _per_image_sets(batch) if per_image else batch
-        params.zero_grads()
-        with T.Tape() as tape:
-            loss = _set_loss(params, sets)
-            tape.backward(loss)
-        optimizer_step(params, group, lr, state, cfg.optimizer)
-        losses.append(loss.item())
+    for t in frozen:
+        t.requires_grad = False
+    try:
+        for step in range(steps):
+            batch = sample_minibatch(dataset, cfg, step, n_mode=n_mode)
+            sets = _per_image_sets(batch) if per_image else batch
+            params.zero_grads()
+            with T.Tape() as tape:
+                loss = _set_loss(params, sets)
+                tape.backward(loss)
+            optimizer_step(params, group, lr, state, cfg.optimizer)
+            losses.append(loss.item())
+    finally:
+        for t in frozen:
+            t.requires_grad = True
     wallclock_ms = (time.perf_counter() - start) * 1000.0
     return TrainReport(stage=stage, steps=steps, losses=losses, wallclock_ms=wallclock_ms,
                        base_checksum=params.checksum("base"),

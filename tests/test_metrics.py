@@ -151,6 +151,32 @@ def test_threshold_search_tie_breaks_low():
     assert best_iou == 1.0
 
 
+def _best_threshold_by_loop(pairs):
+    best_p, best_iou = None, -1.0
+    for p in E.default_thresholds():
+        mean_iou = float(np.mean([E.iou(probs, gt, p) for probs, gt in pairs]))
+        if mean_iou > best_iou:
+            best_p, best_iou = p, mean_iou
+    return best_p, best_iou
+
+
+def test_best_threshold_matches_per_pair_iou_loop():
+    rng = np.random.default_rng(12)
+    for trial in range(30):
+        n, size = int(rng.integers(1, 20)), int(rng.choice([8, 64, 512]))
+        pairs = [(rng.uniform(size=size), rng.uniform(size=size) < rng.uniform(0.05, 0.5))
+                 for _ in range(n)]
+        assert E.best_threshold(pairs) == _best_threshold_by_loop(pairs)
+    empty = [(np.full(64, 0.1), np.zeros(64, dtype=np.uint8))]  # union 0 everywhere
+    assert E.best_threshold(empty) == _best_threshold_by_loop(empty) == (0.20, 1.0)
+    gt = np.zeros(64, dtype=np.uint8)
+    gt[:8] = 1
+    probs = np.where(gt > 0, 0.9, 0.1)  # every grid threshold scores 1.0
+    pairs = [(probs, gt), (rng.uniform(size=64), gt)]
+    assert E.best_threshold([(probs, gt)]) == (0.20, 1.0)
+    assert E.best_threshold(pairs) == _best_threshold_by_loop(pairs)
+
+
 def test_threshold_search_empty_testset(tiny_world):
     params, _ = tiny_world
     with pytest.raises(ContractError):

@@ -297,6 +297,47 @@ def test_reshape_to_same_extents_records_nothing():
     assert tape.entries == []
 
 
+def test_reshape_size_mismatch_raises():
+    with pytest.raises(ShapeError):
+        T.reshape(T.Tensor(np.ones((2, 3))), [4, 2])
+
+
+def test_op_without_path_to_trainable_leaf_records_nothing():
+    rng = np.random.default_rng(7)
+    w = T.Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+    x = T.Tensor(rng.standard_normal((4, 3)))
+    with T.Tape() as tape:
+        T.matmul(x, w)  # recorded: w is trainable
+        T.relu(x)  # x is an input above, but leads to no trainable leaf
+        T.reshape(T.ew_binary("mul", x, x), [12])
+    assert len(tape.entries) == 1
+    assert x.node_id is None and len(tape.tensors) == 2
+
+
+def test_matmul_skips_the_frozen_weight_product():
+    rng = np.random.default_rng(8)
+    g = T.Tensor(rng.standard_normal((4, 5)))
+    a = T.Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    b = T.Tensor(rng.standard_normal((3, 5)))
+    grads = {}
+    for b_trainable in (False, True):
+        a.grad, b.grad, b.requires_grad = None, None, b_trainable
+        with T.Tape() as tape:
+            y = T.ew_binary("mul", T.matmul(a, b), g)
+            tape.backward(T.reduce_sum(T.reduce_sum(y, 1), 0))
+        grads[b_trainable] = (a.grad, b.grad)
+    assert grads[False][1] is None
+    assert grads[True][1] is not None
+    assert np.array_equal(grads[False][0], grads[True][0])
+
+
+def test_sigmoid_matches_three_exp_formula_bit_for_bit():
+    x = np.random.default_rng(9).standard_normal((16, 4096)) * 8.0
+    want = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    assert np.array_equal(T.sigmoid(T.Tensor(x)).data, want)
+
+
 def test_backward_rejects_nonscalar():
     x = T.Tensor([1.0, 2.0], requires_grad=True)
     with T.Tape() as tape:

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from setfusion import data as D
 from setfusion import model as M
 from setfusion import tensor as T
 from setfusion import training as TR
-from setfusion.errors import ContractError
+from setfusion.errors import ContractError, NumericOverflowError
 from setfusion.tensor import Tensor
 
 
@@ -99,6 +100,36 @@ def test_step_requires_gradients():
         TR.optimizer_step(params, "base", 0.1, TR.OptimizerState())
 
 
+def _adam_unblocked(data, g, m, v, t, lr):
+    """The textbook update, one whole-array op at a time."""
+    m *= TR.ADAM_BETA1
+    m += (1.0 - TR.ADAM_BETA1) * g
+    v *= TR.ADAM_BETA2
+    v += (1.0 - TR.ADAM_BETA2) * (g * g)
+    denom = np.sqrt(v / (1.0 - TR.ADAM_BETA2 ** t)) + TR.ADAM_EPS
+    data -= m / denom * (lr / (1.0 - TR.ADAM_BETA1 ** t))
+
+
+def test_blocked_adam_matches_unblocked_formula():
+    rng = np.random.default_rng(11)
+    block = TR.ADAM_BLOCK
+    shapes = {"small": (7, 3), "one_block": (block,), "two_blocks": (2, block),
+              "ragged": (3, block // 2 + 5)}
+    params = M.ParamBundle(base={k: Tensor(rng.standard_normal(s), requires_grad=True)
+                                 for k, s in shapes.items()}, att={}, cfg=None)
+    params.base["transposed"] = Tensor(rng.standard_normal((5, 9)).T, requires_grad=True)
+    want = {k: t.data.copy() for k, t in params.base.items()}
+    moments = {k: (np.zeros(t.shape), np.zeros(t.shape)) for k, t in params.base.items()}
+    state = TR.OptimizerState()
+    for step in range(1, 5):
+        for name, t in params.base.items():
+            t.grad = rng.standard_normal(t.size) * 10.0 ** rng.integers(-3, 3)
+            _adam_unblocked(want[name], t.grad.reshape(t.shape), *moments[name], step, 1e-2)
+        TR.optimizer_step(params, "base", 1e-2, state)
+        for name, t in params.base.items():
+            assert np.array_equal(t.data, want[name]), (name, step)
+
+
 def test_base_step_leaves_att_bit_identical(tiny_dataset):
     params = tiny_model()
     params.att["att_W"].data[:] = np.random.default_rng(0).standard_normal((8, 8))
@@ -153,6 +184,37 @@ def test_stage2_freezes_base_and_single_view_predictions(tiny_dataset):
     assert params.checksum("att") != att_before
     pred_after = M.predict([view], params)[0].probs.data
     assert np.array_equal(pred_after, pred_before)
+
+
+def test_stage2_leaves_base_undifferentiated_and_trainable(tiny_dataset):
+    params = tiny_model()
+    TR.faset_stage2(params, tiny_dataset, tiny_train_cfg(stage2_steps=2))
+    assert all(t.grad is None and t.requires_grad for t in params.base.values())
+    assert all(t.grad is not None and t.requires_grad for t in params.att.values())
+
+
+def test_stage_restores_requires_grad_after_overflow(tiny_dataset):
+    params = tiny_model()
+    cfg = tiny_train_cfg(learning_rate=1e150, optimizer="sgd")
+    with pytest.raises(NumericOverflowError):
+        TR.faset_stage1(params, tiny_dataset, cfg)
+    assert all(t.requires_grad for _, _, t in params.named("all"))
+
+
+def test_stage2_tape_is_shorter_than_joint(tiny_dataset, monkeypatch):
+    entries = []
+    backward = T.Tape.backward
+
+    def counting_backward(tape, loss):
+        entries.append(len(tape.entries))
+        return backward(tape, loss)
+
+    monkeypatch.setattr(T.Tape, "backward", counting_backward)
+    cfg = tiny_train_cfg(stage1_steps=1, stage2_steps=1)
+    TR.faset_stage2(tiny_model(), tiny_dataset, cfg)
+    TR.joint_train(tiny_model(), tiny_dataset, replace(cfg, stage2_steps=0))
+    stage2, joint = entries
+    assert stage2 < joint
 
 
 def test_stage2_improves_multiview_training_loss(tiny_dataset):
