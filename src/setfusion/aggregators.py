@@ -19,7 +19,7 @@ element broadcast over all of its features. A bias would add the same
 constant to every element's activation in a slot, which the set-axis
 softmax cancels, so there is none. Baselines: max/mean/sum pooling (no
 parameters) and a GRU that consumes the set as a sequence, which is
-deliberately order-dependent.
+deliberately order-dependent; each of its steps is one fused ``gru_cell``.
 
 All non-GRU aggregators are permutation invariant bit-for-bit: every
 reduction over the set axis goes through ``set_sum``/``set_max`` and every
@@ -208,13 +208,11 @@ def pool(kind: str, fset: FeatureSet) -> Tensor:
     return T.set_sum(T.ew_binary("mul", x, inv_n))
 
 
-def _tanh(x: Tensor) -> Tensor:
-    # tanh(x) = 2 sigmoid(2x) - 1, built from the core primitives
-    return T.sigmoid(x * 2.0) * 2.0 - 1.0
-
-
 def gru_aggregate(fset: FeatureSet, params: AggregatorParams) -> Tensor:
-    """Left-to-right recurrence over the set order; order-dependent by design."""
+    """Left-to-right recurrence over the set order; order-dependent by design.
+
+    Each step is one ``gru_cell`` on the next row, one tape entry per step.
+    """
     _require_kind(params, "gru")
     x = fset.data
     if x.data.ndim != 2:
@@ -224,11 +222,8 @@ def gru_aggregate(fset: FeatureSet, params: AggregatorParams) -> Tensor:
     d = fset.width
     h = Tensor(np.zeros((1, d)))
     for i in range(fset.n):
-        xi = T.take_row(x, i)
-        z = T.sigmoid(T.add_rowvec(T.matmul(xi, w["Wz"]) + T.matmul(h, w["Uz"]), w["bz"]))
-        r = T.sigmoid(T.add_rowvec(T.matmul(xi, w["Wr"]) + T.matmul(h, w["Ur"]), w["br"]))
-        cand = _tanh(T.add_rowvec(T.matmul(xi, w["Wh"]) + T.matmul(r * h, w["Uh"]), w["bh"]))
-        h = (1.0 - z) * h + z * cand
+        h = T.gru_cell(T.take_row(x, i), h, w["Wz"], w["Uz"], w["bz"],
+                       w["Wr"], w["Ur"], w["br"], w["Wh"], w["Uh"], w["bh"])
     return T.reshape(h, [d])
 
 

@@ -6,10 +6,17 @@ at the millisecond scales involved. Aggregation-only timings isolate the
 fusion operator on a prebuilt feature set; full-forward timings run the
 entire predict path (encode N views, fuse, decode). Inputs are seeded per
 cell, so only the wall-clock fields vary between runs.
+
+The repetitions are taken round-robin: each of the R rounds times every
+cell once, in an order shuffled per round by a seeded generator. A host
+that drifts between faster and slower states over minutes then slows
+every cell alike rather than whichever cells it happens to land on.
+Garbage collection is off inside each timed repetition.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import platform
 import time
@@ -75,16 +82,18 @@ class BenchReport:
         }, indent=2) + "\n"
 
 
-def _median_ms(fn, cfg: BenchConfig) -> float:
-    for _ in range(cfg.warmups):
-        fn()
-    times = []
-    for _ in range(cfg.repeats):
+def _timed_ms(fn, inner_loops: int) -> float:
+    """Wall-clock ms per call of ``fn`` over ``inner_loops`` calls, GC off."""
+    gc_was_on = gc.isenabled()
+    gc.disable()
+    try:
         start = time.perf_counter()
-        for _ in range(cfg.inner_loops):
+        for _ in range(inner_loops):
             fn()
-        times.append((time.perf_counter() - start) / cfg.inner_loops)
-    return float(np.median(times) * 1000.0)
+        return (time.perf_counter() - start) * 1000.0 / inner_loops
+    finally:
+        if gc_was_on:
+            gc.enable()
 
 
 def run_bench(cfg: BenchConfig, model_cfg: ModelConfig | None = None) -> BenchReport:
@@ -95,7 +104,8 @@ def run_bench(cfg: BenchConfig, model_cfg: ModelConfig | None = None) -> BenchRe
         raise ContractError("benchmark latent_dim must match the pipeline model")
     if model_cfg.max_views < max(cfg.n_grid):
         raise ContractError("pipeline max_views below the largest benchmarked set size")
-    rows = []
+    cells = []  # (aggregator, n)
+    fns = []  # two per cell: aggregation only, then the full forward
     for kind in cfg.aggregators:
         agg_params = aggregator_init(kind, cfg.latent_dim, seed=cfg.seed)
         pipe_cfg = ModelConfig(**{**vars(model_cfg), "aggregator_kind": kind})
@@ -103,11 +113,22 @@ def run_bench(cfg: BenchConfig, model_cfg: ModelConfig | None = None) -> BenchRe
         for n in cfg.n_grid:
             rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, n]))
             fset = FeatureSet(Tensor(rng.standard_normal((n, cfg.latent_dim))))
-            views = rng.uniform(0, 1, size=(n, pipe_cfg.image_side, pipe_cfg.image_side))
-            agg_ms = _median_ms(lambda: aggregate(fset, agg_params), cfg)
-            full_ms = _median_ms(lambda: predict(list(views), pipe), cfg)
-            rows.append({"aggregator": kind, "n": n,
-                         "agg_only_ms": agg_ms, "full_forward_ms": full_ms})
+            views = list(rng.uniform(0, 1, size=(n, pipe_cfg.image_side, pipe_cfg.image_side)))
+            cells.append((kind, n))
+            fns += [lambda fset=fset, p=agg_params: aggregate(fset, p),
+                    lambda views=views, p=pipe: predict(views, p)]
+    for _ in range(cfg.warmups):
+        for fn in fns:
+            fn()
+    times = [[] for _ in fns]
+    order = np.random.default_rng(cfg.seed)
+    for _ in range(cfg.repeats):
+        for i in order.permutation(len(fns)):
+            times[i].append(_timed_ms(fns[i], cfg.inner_loops))
+    medians = [float(np.median(t)) for t in times]
+    rows = [{"aggregator": kind, "n": n,
+             "agg_only_ms": medians[2 * i], "full_forward_ms": medians[2 * i + 1]}
+            for i, (kind, n) in enumerate(cells)]
     env = (f"python {platform.python_version()}, numpy {np.__version__}, "
            f"{platform.machine()}, single process")
     return BenchReport(rows=rows, repeats=cfg.repeats, warmups=cfg.warmups, environment=env)

@@ -78,9 +78,10 @@ def iou(pred, gt, p: float) -> float:
     return int(np.count_nonzero(binarized & ht)) / union
 
 
-def best_threshold(pairs) -> tuple[float, float]:
-    """(threshold, mean IoU at it) over the grid for (probs, gt) pairs; the
-    smallest maximizer on ties.
+def _grid_search(pairs) -> tuple[int, float, np.ndarray]:
+    """Index of the best grid threshold (the first maximum: the smallest
+    maximizer), the mean IoU there, and the [13, P] IoU of every pair at
+    every grid threshold.
 
     Each pair is binarized at every grid threshold in one pass; the IoU
     values and their means are bit-identical to calling ``iou`` per
@@ -100,8 +101,15 @@ def best_threshold(pairs) -> tuple[float, float]:
         inter = np.count_nonzero(binarized & ht, axis=1)
         ious[:, j] = np.divide(inter, union, out=np.ones(len(_GRID)), where=union > 0)
     means = ious.mean(axis=1)
-    k = int(np.argmax(means))  # the first maximum: the smallest maximizer
-    return _THRESHOLDS[k], float(means[k])
+    k = int(np.argmax(means))
+    return k, float(means[k]), ious
+
+
+def best_threshold(pairs) -> tuple[float, float]:
+    """(threshold, mean IoU at it) over the grid for (probs, gt) pairs; the
+    smallest maximizer on ties."""
+    k, mean_iou, _ = _grid_search(pairs)
+    return _THRESHOLDS[k], mean_iou
 
 
 def choose_views(seed: int, sample_id: int, n: int, available: int) -> np.ndarray:
@@ -183,9 +191,8 @@ def eval_sweep(params, testset, cfg: EvalConfig, method: str | None = None) -> E
     rows, per_sample = [], {}
     for n in cfg.view_counts:
         preds = _predicted_probs(params, testset, cfg, n)
-        best_p, best_iou = best_threshold([(probs, gt) for _, probs, gt in preds])
-        pairs = [(sid, iou(probs, gt, best_p)) for sid, probs, gt in preds]
-        rows.append({"n": n, "threshold": best_p, "mean_iou": best_iou,
+        k, best_iou, ious = _grid_search([(probs, gt) for _, probs, gt in preds])
+        rows.append({"n": n, "threshold": _THRESHOLDS[k], "mean_iou": best_iou,
                      "n_samples": len(testset)})
-        per_sample[n] = pairs
+        per_sample[n] = [(sid, float(v)) for (sid, _, _), v in zip(preds, ious[k])]
     return EvalReport(method=method, rows=rows, per_sample=per_sample)

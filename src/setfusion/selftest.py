@@ -3,7 +3,10 @@
 Each check re-derives one of the library's load-bearing mathematical
 properties from scratch on fresh random inputs. The suite is the negative
 control surface for the fault-injection flag: a deliberately broken
-softmax normalization must flip the invariance checks to FAIL.
+softmax normalization must flip the invariance checks to FAIL. The fault
+lives here, not in the tensor core: ``enable_fault`` swaps the module
+attribute ``tensor.softmax_set``, which every caller looks up at call time,
+for a skewed version, and ``clear_faults`` puts the original back.
 """
 
 from __future__ import annotations
@@ -17,9 +20,31 @@ from . import data as D
 from . import metrics as E
 from . import model as M
 from . import tensor as T
+from .errors import ContractError
 from .tensor import Tensor
 
-__all__ = ["CheckResult", "run_selftest"]
+__all__ = ["CheckResult", "run_selftest", "enable_fault", "clear_faults"]
+
+_softmax_set = T.softmax_set
+
+
+def _skewed_softmax_set(c: Tensor) -> Tensor:
+    """``softmax_set`` with row n scaled by 1 + 0.1 n, so columns no longer
+    sum to one; the recorded backward sees the skewed scores too."""
+    out = _softmax_set(c)
+    out.data *= (1.0 + 0.1 * np.arange(out.shape[0], dtype=np.float64))[:, None]
+    return out
+
+
+def enable_fault(name: str) -> None:
+    """Switch on a deliberate defect (negative control for self-tests)."""
+    if name != "softmax_skew":
+        raise ContractError(f"unknown fault mode: {name!r}")
+    T.softmax_set = _skewed_softmax_set
+
+
+def clear_faults() -> None:
+    T.softmax_set = _softmax_set
 
 
 @dataclass
@@ -244,8 +269,8 @@ CHECKS = (
 def run_selftest(inject_fault: str | None = None) -> list[CheckResult]:
     """Run every named invariant check; optionally under an injected fault."""
     if inject_fault:
-        T.enable_fault(inject_fault)
+        enable_fault(inject_fault)
     try:
         return [check() for check in CHECKS]
     finally:
-        T.clear_faults()
+        clear_faults()

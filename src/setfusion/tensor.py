@@ -16,9 +16,17 @@ rest of the package leans on:
   (value-sorted) accumulation order, which makes reductions over an
   unordered set bit-stable under reordering of the rows. ``reduce_sum``
   keeps numpy's layout-order accumulation and is the general-purpose op.
+* The graph is acyclic in memory: a tape holds its tensors and backward
+  closures, and no tensor refers back to a tape. A step's whole graph is
+  therefore freed by reference counting as soon as its tape is dropped
+  (in training, when the next step's ``Tape()`` replaces it), with no
+  wait for a cyclic garbage collection.
 * ``matmul_rows`` computes each output row with an independent BLAS call:
   a row's bits then cannot depend on where it sits in the stack (plain
   gemm does not guarantee that).
+* ``gru_cell`` is one GRU step as a single primitive with a hand-derived
+  backward, bit-identical to the same step spelled out in primitives, so a
+  recurrent step costs one tape entry.
 * ``finite_diff_grad`` is the independent gradient oracle; it never touches
   the tape machinery.
 """
@@ -52,40 +60,23 @@ __all__ = [
     "reshape",
     "take_row",
     "stack_rows",
+    "gru_cell",
     "bce_loss",
     "backward",
     "finite_diff_grad",
-    "enable_fault",
-    "clear_faults",
 ]
-
-# Active fault modes, settable for negative-control tests only.
-_FAULTS: set[str] = set()
-
-
-def enable_fault(name: str) -> None:
-    """Switch on a deliberate defect (negative control for self-tests)."""
-    if name not in {"softmax_skew"}:
-        raise ContractError(f"unknown fault mode: {name!r}")
-    _FAULTS.add(name)
-
-
-def clear_faults() -> None:
-    _FAULTS.clear()
 
 
 class Tensor:
     """Dense float64 array, optionally holding a gradient of the same size."""
 
-    __slots__ = ("data", "grad", "requires_grad", "node_id", "tape")
+    __slots__ = ("data", "grad", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self.node_id: int | None = None
-        self.tape: "Tape | None" = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -158,6 +149,8 @@ class Tape:
     such a leaf itself, or the output of an op with at least one such input.
     Being a node is that flag, so an op whose inputs are all non-nodes is
     not recorded, and an entry's non-node inputs get no id and no gradient.
+    Node ids live only in the tape's ``_ids`` map, keyed by ``id(tensor)``,
+    and stay valid because ``tensors`` keeps every node alive.
     """
 
     _active: "Tape | None" = None
@@ -187,8 +180,6 @@ class Tape:
             nid = len(self.tensors)
             self._ids[id(t)] = nid
             self.tensors.append(t)
-            t.node_id = nid
-            t.tape = self
         return nid
 
     def record(self, out: Tensor, inputs: Sequence[Tensor], need: tuple[bool, ...],
@@ -226,10 +217,11 @@ class Tape:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every recorded tensor that requires one."""
-    if loss.tape is None:
-        raise ContractError("loss does not lie on a tape")
-    loss.tape.backward(loss)
+    """Populate ``grad`` on every recorded tensor that requires one, from
+    the active tape."""
+    if Tape._active is None:
+        raise ContractError("backward needs an active tape")
+    Tape._active.backward(loss)
 
 
 def _record(out: Tensor, inputs: Sequence[Tensor], backward_fn: Callable) -> Tensor:
@@ -355,9 +347,7 @@ def map_unary(op: str, a: Tensor) -> Tensor:
         def bwd(g, need, y=y):
             return (g * y,)
     elif op == "sigmoid":
-        e = np.exp(-np.abs(x))
-        d = 1.0 + e
-        y = np.where(x >= 0, 1.0 / d, e / d)
+        y = _sigmoid(x)
         def bwd(g, need, y=y):
             return (g * y * (1.0 - y),)
     elif op == "relu":
@@ -369,6 +359,13 @@ def map_unary(op: str, a: Tensor) -> Tensor:
     out = Tensor(y)
     _check_finite(out.data, op)
     return _record(out, (a,), bwd)
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    # exp(-|x|) cannot overflow; one exp serves both branches
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def exp(a: Tensor) -> Tensor:
@@ -401,8 +398,6 @@ def softmax_set(c: Tensor) -> Tensor:
     e = np.exp(shifted)
     denom = _sorted_axis0_sum(e)
     s = e / denom
-    if "softmax_skew" in _FAULTS:
-        s = s * (1.0 + 0.1 * np.arange(s.shape[0], dtype=np.float64))[:, None]
     out = Tensor(s)
     _check_finite(out.data, "softmax_set")
 
@@ -536,6 +531,97 @@ def stack_rows(tensors: Iterable[Tensor]) -> Tensor:
     return _record(out, ts, bwd)
 
 
+def _outer(col: np.ndarray, g: np.ndarray) -> np.ndarray:
+    # col.T @ g for one row, as a broadcast product: half the cost of the
+    # K=1 GEMM. The GEMM accumulates onto +0.0, so adding +0.0 gives a zero
+    # product the same sign and keeps the result bit-identical to it.
+    out = np.multiply(col.T, g)
+    out += 0.0
+    return out
+
+
+def gru_cell(x: Tensor, h: Tensor, Wz: Tensor, Uz: Tensor, bz: Tensor, Wr: Tensor,
+             Ur: Tensor, br: Tensor, Wh: Tensor, Uh: Tensor, bh: Tensor) -> Tensor:
+    """One GRU step on a [1,D] input row and [1,H] state, as one tape entry:
+
+        z = sigmoid(x Wz + h Uz + bz)        r = sigmoid(x Wr + h Ur + br)
+        c = tanh(x Wh + (r * h) Uh + bh)     h' = (1 - z) * h + z * c
+
+    with tanh(a) = 2 sigmoid(2a) - 1. Forward and backward run the same
+    numpy operations in the same order as the chain of primitives that
+    spells this out (each gradient's pieces summed in that chain's reverse
+    order), so results are bit-identical to it.
+    """
+    if x.data.ndim != 2 or h.data.ndim != 2 or x.shape[0] != 1 or h.shape[0] != 1:
+        raise ShapeError(f"gru_cell needs [1,D] and [1,H] rows, got {list(x.shape)}, {list(h.shape)}")
+    width = h.shape[1]
+    for w, rows in ((Wz, x.shape[1]), (Uz, width), (bz, 1), (Wr, x.shape[1]), (Ur, width),
+                    (br, 1), (Wh, x.shape[1]), (Uh, width), (bh, 1)):
+        if w.shape != (rows, width):
+            raise ShapeError(f"gru_cell weight {list(w.shape)} does not fit input "
+                             f"{list(x.shape)} and state {list(h.shape)}")
+    # A non-finite intermediate reaches a_z, a_r, 2 a_h or the output, so
+    # checking those four raises wherever the primitive chain would.
+    xd, hd = x.data, h.data
+    a_z = xd @ Wz.data + hd @ Uz.data + bz.data
+    _check_finite(a_z, "gru_cell")
+    z = _sigmoid(a_z)
+    a_r = xd @ Wr.data + hd @ Ur.data + br.data
+    _check_finite(a_r, "gru_cell")
+    r = _sigmoid(a_r)
+    rh = r * hd
+    a_h2 = (xd @ Wh.data + rh @ Uh.data + bh.data) * 2.0
+    _check_finite(a_h2, "gru_cell")
+    s = _sigmoid(a_h2)
+    cand = s * 2.0 - 1.0
+    omz = 1.0 - z
+    out = Tensor(omz * hd + z * cand)
+    _check_finite(out.data, "gru_cell")
+
+    def bwd(g, need):
+        nx, nh, nWz, nUz, nbz, nWr, nUr, nbr, nWh, nUh, nbh = need
+        need_az = nx or nh or nWz or nUz or nbz
+        need_ar = nx or nh or nWr or nUr or nbr
+        need_ah = need_ar or nWh or nUh or nbh  # the r path runs through a_h
+        # gh and gx sum their pieces in the order the chain's reverse sweep
+        # reaches them: gh from (1-z)*h, r*h, h Ur, h Uz; gx from Wh, Wr, Wz.
+        # Bias pieces keep add_rowvec's row sum, which also maps -0.0 to +0.0.
+        gx = gh = g_az = g_ar = g_ah = None
+        if need_az:
+            gz = g * cand
+            gz += (g * hd) * -1.0
+            g_az = gz * z * (1.0 - z)
+        if nh:
+            gh = g * omz
+        if need_ah:
+            g_ah = (((g * z) * 2.0) * s * (1.0 - s)) * 2.0
+            if nx:
+                gx = g_ah @ Wh.data.T
+        if need_ar:
+            g_rh = g_ah @ Uh.data.T
+            g_ar = (g_rh * hd) * r * (1.0 - r)
+            if nh:
+                gh += g_rh * r
+        if nh:
+            gh += g_ar @ Ur.data.T
+            gh += g_az @ Uz.data.T
+        if nx:
+            gx += g_ar @ Wr.data.T
+            gx += g_az @ Wz.data.T
+        return (gx, gh,
+                _outer(xd, g_az) if nWz else None,
+                _outer(hd, g_az) if nUz else None,
+                g_az.sum(axis=0, keepdims=True) if nbz else None,
+                _outer(xd, g_ar) if nWr else None,
+                _outer(hd, g_ar) if nUr else None,
+                g_ar.sum(axis=0, keepdims=True) if nbr else None,
+                _outer(xd, g_ah) if nWh else None,
+                _outer(rh, g_ah) if nUh else None,
+                g_ah.sum(axis=0, keepdims=True) if nbh else None)
+
+    return _record(out, (x, h, Wz, Uz, bz, Wr, Ur, br, Wh, Uh, bh), bwd)
+
+
 _BCE_EPS = 1e-7
 
 
@@ -556,6 +642,19 @@ def bce_loss(pred: Tensor, target: Tensor) -> Tensor:
         return (float(g) * dp, None)
 
     return _record(out, (pred, target), bwd)
+
+
+def enable_fault(name: str) -> None:
+    """``selftest.enable_fault``, for callers outside the package that
+    reach it through this module."""
+    from .selftest import enable_fault as enable
+    enable(name)
+
+
+def clear_faults() -> None:
+    """``selftest.clear_faults``, as for ``enable_fault``."""
+    from .selftest import clear_faults as clear
+    clear()
 
 
 def finite_diff_grad(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-5) -> Tensor:

@@ -206,6 +206,21 @@ def test_eval_sweep_rows_and_csv_columns(tiny_world):
         assert len(report.per_sample[n]) == len(testset)
 
 
+def test_eval_sweep_per_sample_is_iou_at_the_chosen_threshold(tiny_world):
+    params, testset = tiny_world
+    cfg = E.EvalConfig(view_counts=(1, 4), seed=3)
+    report = E.eval_sweep(params, testset, cfg)
+    for n in cfg.view_counts:
+        p = report.threshold(n)
+        want = []
+        for s in testset:
+            picked = E.choose_views(cfg.seed, s.sample_id, n, s.views.shape[0])
+            probs = M.predict([s.views[i] for i in picked], params)[0].probs.data
+            want.append((s.sample_id, E.iou(probs, s.gt, p)))
+        assert report.per_sample[n] == want
+        assert all(type(v) is float for _, v in report.per_sample[n])
+
+
 def test_eval_sweep_view_shuffle_invariant_for_attention(tiny_world):
     params, testset = tiny_world
     rng = np.random.default_rng(9)

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -311,7 +313,7 @@ def test_op_without_path_to_trainable_leaf_records_nothing():
         T.relu(x)  # x is an input above, but leads to no trainable leaf
         T.reshape(T.ew_binary("mul", x, x), [12])
     assert len(tape.entries) == 1
-    assert x.node_id is None and len(tape.tensors) == 2
+    assert not tape.needs(x) and len(tape.tensors) == 2
 
 
 def test_matmul_skips_the_frozen_weight_product():
@@ -368,6 +370,24 @@ def test_shared_leaf_accumulates():
         loss = T.reduce_sum(T.ew_binary("add", x, x), 0)
         tape.backward(loss)
     assert np.array_equal(x.grad, [2.0])
+
+
+def test_released_tape_frees_its_graph_without_gc():
+    rng = np.random.default_rng(10)
+    x = T.Tensor(rng.standard_normal((4, 3)))
+    w = T.Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+    gc.disable()
+    try:
+        with T.Tape() as tape:
+            hidden = T.relu(T.matmul(x, w))
+            tape.backward(T.reduce_sum(T.reduce_sum(hidden, 1), 0))
+        probe = weakref.ref(hidden.data)
+        del hidden
+        assert probe() is not None  # the tape still holds its graph
+        del tape
+        assert probe() is None
+    finally:
+        gc.enable()
 
 
 # -------------------------------------------------------------- finite diff
@@ -510,3 +530,95 @@ def test_fault_injection_breaks_normalization():
         T.clear_faults()
     out = T.softmax_set(T.Tensor(np.zeros((4, 2)))).data
     assert np.abs(out.sum(axis=0) - 1.0).max() <= 1e-12
+
+
+# ----------------------------------------------------------------- gru_cell
+
+GRU_ARGS = ("x", "h", "Wz", "Uz", "bz", "Wr", "Ur", "br", "Wh", "Uh", "bh")
+
+
+def _gru_chain(x, h, Wz, Uz, bz, Wr, Ur, br, Wh, Uh, bh):
+    """The GRU step as a chain of primitives: the reference for gru_cell."""
+    z = T.sigmoid(T.add_rowvec(T.matmul(x, Wz) + T.matmul(h, Uz), bz))
+    r = T.sigmoid(T.add_rowvec(T.matmul(x, Wr) + T.matmul(h, Ur), br))
+    cand = T.sigmoid(T.add_rowvec(T.matmul(x, Wh) + T.matmul(r * h, Uh), bh) * 2.0) * 2.0 - 1.0
+    return (1.0 - z) * h + z * cand
+
+
+def _gru_inputs(rng, dx=5, width=4, steps=3):
+    xs = rng.standard_normal((steps, dx))
+    xs[rng.random(xs.shape) < 0.3] = 0.0
+    xs[:, 0] = 0.0  # a dead feature: its weight rows' gradients are sums of signed zeros
+    ws = {}
+    for name in GRU_ARGS[2:]:
+        rows = 1 if name.startswith("b") else dx if name.startswith("W") else width
+        ws[name] = rng.standard_normal((rows, width)) * 0.7
+    return xs, rng.standard_normal((1, width)), ws, rng.standard_normal((1, width))
+
+
+def _run_gru(step, xs, h0, ws, rvec, trained):
+    """Several steps of ``step`` over the rows of ``xs``; returns the output
+    and the gradient of every trained leaf, with the tape's entry count."""
+    x = T.Tensor(xs, requires_grad="x" in trained)
+    h = T.Tensor(h0, requires_grad="h" in trained)
+    w = {k: T.Tensor(v, requires_grad=k in trained) for k, v in ws.items()}
+    leaves = {"x": x, "h": h, **w}
+    with T.Tape() as tape:
+        out = h
+        for i in range(xs.shape[0]):
+            out = step(T.take_row(x, i), out, *(w[k] for k in GRU_ARGS[2:]))
+        tape.backward(T.reduce_sum(T.reduce_sum(T.ew_binary("mul", out, T.Tensor(rvec)), 1), 0))
+    return out.data, {k: t.grad for k, t in leaves.items() if k in trained}, len(tape.entries)
+
+
+@pytest.mark.parametrize("trained", [
+    GRU_ARGS[2:] + ("x",),  # joint: everything trained, h0 a constant
+    ("x",),  # stage 1: weights frozen
+    GRU_ARGS[2:],  # stage 2: the input rows frozen
+    ("h", "Uh", "bz"),  # a trained initial state and a mix of weights
+])
+def test_gru_cell_matches_primitive_chain_bit_for_bit(trained):
+    xs, h0, ws, rvec = _gru_inputs(np.random.default_rng(300))
+    if "h" not in trained:
+        h0 = np.zeros_like(h0)  # the state gru_aggregate starts from
+    out, grads, entries = _run_gru(T.gru_cell, xs, h0, ws, rvec, trained)
+    ref_out, ref_grads, ref_entries = _run_gru(_gru_chain, xs, h0, ws, rvec, trained)
+    assert out.tobytes() == ref_out.tobytes()
+    assert grads.keys() == ref_grads.keys() == set(trained)
+    for name in trained:
+        assert grads[name].tobytes() == ref_grads[name].tobytes(), name
+    steps = xs.shape[0] * (2 if "x" in trained else 1)  # cells, plus take_row when x trains
+    assert entries == steps + 3 < ref_entries
+
+
+@pytest.mark.parametrize("arg", GRU_ARGS)
+def test_gradcheck_gru_cell(arg):
+    rng = np.random.default_rng(301)
+    xs, h0, ws, rvec = _gru_inputs(rng, steps=1)
+    values = {"x": xs, "h": h0, **ws}
+    k = GRU_ARGS.index(arg)
+    args = [T.Tensor(values[name]) for name in GRU_ARGS]
+
+    def f(t):
+        out = T.gru_cell(*args[:k], t, *args[k + 1:])
+        return T.reduce_sum(T.reduce_sum(T.ew_binary("mul", out, T.Tensor(rvec)), 1), 0)
+
+    check_grad(f, T.Tensor(values[arg]))
+
+
+@pytest.mark.parametrize("weight", ["Wz", "Wr", "Wh", "bh"])  # bh: a_h finite, 2 a_h not
+def test_gru_cell_overflow_raises_where_the_chain_does(weight):
+    xs, h0, ws, _ = _gru_inputs(np.random.default_rng(302), steps=1)
+    xs[:] = 2.0
+    ws[weight] = np.full_like(ws[weight], 1e308)
+    args = [T.Tensor(xs), T.Tensor(h0), *(T.Tensor(ws[k]) for k in GRU_ARGS[2:])]
+    for step in (_gru_chain, T.gru_cell):
+        with np.errstate(over="ignore"), pytest.raises(NumericOverflowError):
+            step(*args)
+
+
+def test_gru_cell_rejects_mismatched_weights():
+    xs, h0, ws, _ = _gru_inputs(np.random.default_rng(303), steps=1)
+    ws["Uh"] = np.zeros((5, 4))
+    with pytest.raises(ShapeError):
+        T.gru_cell(T.Tensor(xs), T.Tensor(h0), *(T.Tensor(ws[k]) for k in GRU_ARGS[2:]))
