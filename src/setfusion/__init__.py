@@ -27,7 +27,7 @@ from .model import (ModelConfig, ParamBundle, VoxelGrid, decode_voxels, encode_v
                     load_checkpoint, model_init, predict, save_checkpoint)
 from .tensor import Tape, Tensor, backward, finite_diff_grad
 from .training import (TrainConfig, TrainReport, faset_stage1, faset_stage2, finetune,
-                       joint_train, optimizer_step, sample_minibatch)
+                       joint_train, optimizer_step, sample_minibatch, single_view_train)
 
 __version__ = "0.1.0"
 
@@ -42,6 +42,6 @@ __all__ = [
     "load_checkpoint", "model_init", "predict", "save_checkpoint",
     "Tape", "Tensor", "backward", "finite_diff_grad",
     "TrainConfig", "TrainReport", "faset_stage1", "faset_stage2", "finetune",
-    "joint_train", "optimizer_step", "sample_minibatch",
+    "joint_train", "optimizer_step", "sample_minibatch", "single_view_train",
     "__version__",
 ]

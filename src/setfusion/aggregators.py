@@ -222,7 +222,7 @@ def gru_aggregate(fset: FeatureSet, params: AggregatorParams) -> Tensor:
     d = fset.width
     h = Tensor(np.zeros((1, d)))
     for i in range(fset.n):
-        h = T.gru_cell(T.take_row(x, i), h, w["Wz"], w["Uz"], w["bz"],
+        h = T.gru_cell(T.take_rows(x, i, i + 1), h, w["Wz"], w["Uz"], w["bz"],
                        w["Wr"], w["Ur"], w["br"], w["Wh"], w["Uh"], w["bh"])
     return T.reshape(h, [d])
 

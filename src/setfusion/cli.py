@@ -6,7 +6,7 @@ timings), ``selftest`` (invariant suite). Shared flags: ``--config``,
 repeatable ``--set section.key=value``, ``--out``, ``--seed``.
 
 Exit codes: 0 success, 1 contract or config error, 2 I/O or file-format
-error, 3 selftest failure.
+error, 3 selftest failure, 4 numeric overflow in training.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ EXIT_OK = 0
 EXIT_CONTRACT = 1
 EXIT_IO = 2
 EXIT_SELFTEST = 3
+EXIT_OVERFLOW = 4
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -88,11 +89,9 @@ def _load_split(cfg, split: str):
 
 
 def cmd_train(args) -> int:
-    from dataclasses import replace
-
     from .aggregators import ATTENTION_KINDS
     from .model import model_init, save_checkpoint
-    from .training import faset_stage1, faset_stage2, finetune, joint_train
+    from .training import faset_stage1, faset_stage2, finetune, joint_train, single_view_train
 
     cfg, out_dir = _resolve(args)
     trainset, _ = _load_split(cfg, "train")
@@ -116,9 +115,7 @@ def cmd_train(args) -> int:
         if args.mode == "faset":
             print(f"note: aggregator {kind!r} has no separable attention stage; "
                   f"stage 1 trains the whole network and stage 2 is routed to finetune")
-        stage1 = joint_train(params, trainset, replace(train_cfg, n_mode="fixed:1", stage2_steps=0))
-        stage1.stage = "stage1"
-        save("stage1", stage1)
+        save("stage1", single_view_train(params, trainset, train_cfg))
         save("stage2", finetune(params, trainset, train_cfg))
         return EXIT_OK
 
@@ -198,7 +195,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return EXIT_CONTRACT if e.code not in (0, None) else EXIT_OK
 
-    from .errors import ContractError, FormatError, GenerationError, ShapeError
+    from .errors import (ContractError, FormatError, GenerationError, NumericOverflowError,
+                         ShapeError)
 
     handler = {
         "generate": cmd_generate,
@@ -218,6 +216,9 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, GenerationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
+    except NumericOverflowError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_OVERFLOW
 
 
 if __name__ == "__main__":

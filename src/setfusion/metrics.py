@@ -83,23 +83,26 @@ def _grid_search(pairs) -> tuple[int, float, np.ndarray]:
     maximizer), the mean IoU there, and the [13, P] IoU of every pair at
     every grid threshold.
 
-    Each pair is binarized at every grid threshold in one pass; the IoU
-    values and their means are bit-identical to calling ``iou`` per
-    (pair, threshold).
+    All pairs share one grid size and are binarized at every grid
+    threshold in one [13, P, V] pass. The union is counted as
+    |truth| + |binarized| - |intersection|; the IoU values and their means
+    are bit-identical to calling ``iou`` per (pair, threshold).
     """
     pairs = list(pairs)
     if not pairs:
         raise ContractError("threshold search needs at least one (probs, gt) pair")
-    ious = np.empty((len(_GRID), len(pairs)))
-    for j, (probs, gt) in enumerate(pairs):
-        hp = _probs_of(probs)
-        ht = np.asarray(gt).reshape(-1) > 0.5
-        if hp.size != ht.size:
-            raise ShapeError(f"grid sizes differ: {hp.size} vs {ht.size}")
-        binarized = hp[None] > _GRID[:, None]
-        union = np.count_nonzero(binarized | ht, axis=1)
-        inter = np.count_nonzero(binarized & ht, axis=1)
-        ious[:, j] = np.divide(inter, union, out=np.ones(len(_GRID)), where=union > 0)
+    probs = [_probs_of(p) for p, _ in pairs]
+    truth = [np.asarray(gt).reshape(-1) for _, gt in pairs]
+    sizes = sorted({a.size for a in probs + truth})
+    if len(sizes) != 1:
+        raise ShapeError(f"grid sizes differ: {sizes}")
+    truth = np.stack(truth) > 0.5
+    binarized = np.stack(probs)[None] > _GRID[:, None, None]
+    positive = binarized.sum(axis=2, dtype=np.int32)
+    binarized &= truth
+    inter = binarized.sum(axis=2, dtype=np.int32)
+    union = truth.sum(axis=1, dtype=np.int32) + positive - inter
+    ious = np.divide(inter, union, out=np.ones(union.shape), where=union > 0)
     means = ious.mean(axis=1)
     k = int(np.argmax(means))
     return k, float(means[k]), ious

@@ -21,6 +21,7 @@ permutation-invariant aggregator, bit for bit.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass
 
@@ -222,6 +223,8 @@ def predict(views, params: ParamBundle) -> tuple[VoxelGrid, AttentionMap | None]
 # --------------------------------------------------------------- checkpoint
 
 _GROUP_TAGS = {"base": 0, "att": 1}
+# The lowest limit numpy has had on array rank; model tensors have rank 2.
+_MAX_RANK = 32
 _TAG_GROUPS = {v: k for k, v in _GROUP_TAGS.items()}
 
 
@@ -285,9 +288,12 @@ def load_checkpoint(path, cfg: ModelConfig | None = None) -> ParamBundle:
         tag_byte = r.take(1, "group tag")[0]
         if tag_byte not in _TAG_GROUPS:
             raise FormatError(f"unknown group tag {tag_byte}", offset=r.off - 1)
+        rank_off = r.off
         rank = r.u32("rank")
+        if rank > _MAX_RANK:
+            raise FormatError(f"rank {rank} exceeds the supported {_MAX_RANK}", offset=rank_off)
         shape = struct.unpack(f"<{rank}I", r.take(4 * rank, "extents")) if rank else ()
-        n_vals = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        n_vals = math.prod(shape)
         raw = r.take(8 * n_vals, f"values of {name}")
         data = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
         groups[_TAG_GROUPS[tag_byte]][name] = Tensor(data, requires_grad=True)

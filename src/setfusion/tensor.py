@@ -12,6 +12,9 @@ rest of the package leans on:
 * Backward computes only the products that reach a ``requires_grad`` leaf:
   each closure is told which of its inputs need a gradient and skips the
   others, so a frozen weight, an input image or a constant costs nothing.
+  A node's first gradient piece is kept without a copy when its closure
+  allocated it (a weight product, say); a piece that is the upstream
+  gradient or a view of it is copied, so no two nodes' gradients alias.
 * ``set_sum`` / ``set_max`` reduce over the leading axis in a canonical
   (value-sorted) accumulation order, which makes reductions over an
   unordered set bit-stable under reordering of the rows. ``reduce_sum``
@@ -58,7 +61,7 @@ __all__ = [
     "add_rowvec",
     "repeat_cols",
     "reshape",
-    "take_row",
+    "take_rows",
     "stack_rows",
     "gru_cell",
     "bce_loss",
@@ -208,7 +211,9 @@ class Tape:
                 if nid is None or piece is None:
                     continue
                 if grads[nid] is None:
-                    grads[nid] = piece.copy()
+                    # A piece the closure allocated is kept as it is; g or a
+                    # view of g is copied, so no two nodes share storage.
+                    grads[nid] = piece if piece.base is None and piece is not g else piece.copy()
                 else:
                     grads[nid] += piece
         for t, g in zip(self.tensors, grads):
@@ -231,6 +236,9 @@ def _record(out: Tensor, inputs: Sequence[Tensor], backward_fn: Callable) -> Ten
     ``need[i]`` says whether input ``i`` leads to a ``requires_grad`` leaf;
     a closure returns None where it does not, rather than computing a
     product nobody reads (backward drops such a piece either way).
+    Each piece is ``g`` itself, a view of ``g``, or an array the closure
+    allocated for that input alone: backward keeps the last kind without a
+    copy and accumulates later pieces into it in place.
     """
     tape = Tape._active
     if tape is not None:
@@ -498,17 +506,17 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     return _record(out, (a,), bwd)
 
 
-def take_row(a: Tensor, i: int) -> Tensor:
-    """Extract row ``i`` of an [N,F] matrix as a [1,F] tensor."""
+def take_rows(a: Tensor, start: int, stop: int) -> Tensor:
+    """Rows ``start:stop`` of an [N,F] matrix as a [stop-start, F] tensor."""
     if a.data.ndim != 2:
-        raise ShapeError(f"take_row needs a rank-2 tensor, got {list(a.shape)}")
-    if not 0 <= i < a.shape[0]:
-        raise ShapeError(f"row {i} out of range for {list(a.shape)}")
-    out = Tensor(a.data[i : i + 1].copy())
+        raise ShapeError(f"take_rows needs a rank-2 tensor, got {list(a.shape)}")
+    if not 0 <= start < stop <= a.shape[0]:
+        raise ShapeError(f"rows {start}:{stop} out of range for {list(a.shape)}")
+    out = Tensor(a.data[start:stop].copy())
 
     def bwd(g, need):
         full = np.zeros_like(a.data)
-        full[i] = g[0]
+        full[start:stop] = g
         return (full,)
 
     return _record(out, (a,), bwd)

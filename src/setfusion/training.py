@@ -22,7 +22,15 @@ gradients computed and thrown away.
 ``joint_train`` is the ablation control: one loss, all parameters updated
 together under the configured set-size regime. ``finetune`` updates every
 trainable tensor at the (much smaller) finetune rate and is the stage-2
-stand-in for aggregators without a separable attention module.
+stand-in for aggregators without a separable attention module;
+``single_view_train`` is their stage 1, stage 1's schedule over every
+parameter.
+
+The encoder is shared and applied to each view independently, so a step
+encodes all of its views in one ``encode_batch`` call and hands each set
+its rows with ``take_rows``; the encoder's weight gradient is then one
+product over the step's rows. ``predict`` still encodes one view at a
+time, which is what its bit-exact permutation invariance rests on.
 
 Stage 1 and ``joint_train`` under a fixed(1) regime build byte-for-byte
 identical computation graphs, so their base trajectories coincide exactly;
@@ -44,7 +52,7 @@ import numpy as np
 
 from . import tensor as T
 from .aggregators import FeatureSet, aggregate
-from .errors import ContractError
+from .errors import ContractError, NumericOverflowError
 from .model import ParamBundle, _agg_params, decode_batch, encode_batch
 from .tensor import Tensor
 
@@ -56,6 +64,7 @@ __all__ = [
     "OptimizerState",
     "optimizer_step",
     "faset_stage1",
+    "single_view_train",
     "faset_stage2",
     "joint_train",
     "finetune",
@@ -221,19 +230,21 @@ def optimizer_step(params: ParamBundle, group: str, lr: float, state: OptimizerS
 
 
 def _set_loss(params: ParamBundle, sets) -> Tensor:
-    """Forward one step's worth of sets: encode each set's views, aggregate,
-    decode all fused latents as one batch, mean BCE against the targets."""
+    """Forward one step's worth of sets: encode every view of the step in
+    one batch, hand each set its rows, aggregate, decode all fused latents
+    as one batch, mean BCE against the targets."""
     agg = _agg_params(params)
     d = params.cfg.latent_dim
+    latents = encode_batch(Tensor(np.vstack([views for views, _ in sets])), params)
     fused_rows = []
-    targets = []
-    for views, target in sets:
-        latents = encode_batch(Tensor(views), params)
-        y, _ = aggregate(FeatureSet(latents), agg)
+    start = 0
+    for views, _ in sets:
+        stop = start + len(views)
+        y, _ = aggregate(FeatureSet(T.take_rows(latents, start, stop)), agg)
         fused_rows.append(T.reshape(y, [1, d]))
-        targets.append(target)
+        start = stop
     probs = decode_batch(T.stack_rows(fused_rows), params)
-    return T.bce_loss(probs, Tensor(np.stack(targets)))
+    return T.bce_loss(probs, Tensor(np.stack([target for _, target in sets])))
 
 
 def _per_image_sets(batch):
@@ -257,15 +268,19 @@ def _run(params: ParamBundle, dataset, cfg: TrainConfig, *, stage: str, steps: i
     for t in frozen:
         t.requires_grad = False
     try:
-        for step in range(steps):
-            batch = sample_minibatch(dataset, cfg, step, n_mode=n_mode)
-            sets = _per_image_sets(batch) if per_image else batch
-            params.zero_grads()
-            with T.Tape() as tape:
-                loss = _set_loss(params, sets)
-                tape.backward(loss)
-            optimizer_step(params, group, lr, state, cfg.optimizer)
-            losses.append(loss.item())
+        # The ops raise on a non-finite result; numpy's warnings would repeat it.
+        with np.errstate(all="ignore"):
+            for step in range(steps):
+                batch = sample_minibatch(dataset, cfg, step, n_mode=n_mode)
+                sets = _per_image_sets(batch) if per_image else batch
+                params.zero_grads()
+                with T.Tape() as tape:
+                    loss = _set_loss(params, sets)
+                    tape.backward(loss)
+                optimizer_step(params, group, lr, state, cfg.optimizer)
+                losses.append(loss.item())
+    except NumericOverflowError as e:
+        raise NumericOverflowError(f"{stage} step {step}: {e}") from e
     finally:
         for t in frozen:
             t.requires_grad = True
@@ -279,6 +294,13 @@ def faset_stage1(params: ParamBundle, dataset, cfg: TrainConfig) -> TrainReport:
     """Stage 1: base group only, single-image reconstructions (fixed(1) draws)."""
     return _run(params, dataset, cfg, stage="stage1", steps=cfg.stage1_steps,
                 group="base", lr=cfg.learning_rate, n_mode="fixed:1", per_image=True)
+
+
+def single_view_train(params: ParamBundle, dataset, cfg: TrainConfig) -> TrainReport:
+    """Stage 1 for aggregators without a separable attention module: every
+    parameter trained on single-image reconstructions (fixed(1) draws)."""
+    return _run(params, dataset, cfg, stage="stage1", steps=cfg.stage1_steps,
+                group="all", lr=cfg.learning_rate, n_mode="fixed:1", per_image=True)
 
 
 def faset_stage2(params: ParamBundle, dataset, cfg: TrainConfig) -> TrainReport:

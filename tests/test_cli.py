@@ -105,6 +105,17 @@ def test_train_joint_mode(tmp_path):
     assert (tmp_path / "joint.sfck").exists()
 
 
+def test_train_overflow_is_exit_4_naming_stage_and_step(tmp_path, capsys):
+    assert tiny_run("generate", tmp_path) == 0
+    capsys.readouterr()
+    code = tiny_run("train", tmp_path, "--set", "train.learning_rate=1e150",
+                    "--set", "train.optimizer=sgd")
+    assert code == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: stage1 step ")
+    assert not (tmp_path / "stage1.sfck").exists()
+
+
 def test_train_grid_mismatch_is_contract_error(tmp_path, capsys):
     assert tiny_run("generate", tmp_path) == 0
     code = tiny_run("train", tmp_path, "--set", "model.grid_side=16")

@@ -186,3 +186,24 @@ def test_report_has_informativeness_probe(small_dataset):
     assert "constant_predictor_iou" in report
     assert "single_view_nn_iou" in report
     assert "constant_predictor_threshold" in report
+
+
+def test_load_fuzz_raises_only_format_error(small_dataset, tmp_path):
+    """Seeded single-byte flips either load or raise FormatError; every
+    strict prefix of the file raises FormatError."""
+    out, _, _ = small_dataset
+    blob = (out / "test.sfds").read_bytes()
+    bad = tmp_path / "bad.sfds"
+    rng = np.random.default_rng(1236)
+    for off, mask in zip(rng.integers(0, len(blob), 3000), rng.integers(1, 256, 3000)):
+        flipped = bytearray(blob)
+        flipped[off] ^= mask
+        bad.write_bytes(bytes(flipped))
+        try:
+            D.load_dataset(bad)
+        except FormatError:
+            pass
+    for length in range(len(blob)):
+        bad.write_bytes(blob[:length])
+        with pytest.raises(FormatError):
+            D.load_dataset(bad)

@@ -235,3 +235,40 @@ def test_checkpoint_non_utf8_name_reports_offset(tmp_path):
     with pytest.raises(FormatError, match="UTF-8") as exc:
         M.load_checkpoint(path)
     assert exc.value.offset == 16
+
+
+def test_checkpoint_rank_beyond_numpy_reports_offset(tmp_path):
+    params = M.model_init(tiny_cfg(aggregator_kind="gru", seed=12))
+    path = tmp_path / "model.sfck"
+    M.save_checkpoint(params, path)
+    blob = bytearray(path.read_bytes())
+    rank_off = 16 + len(params.named()[0][0]) + 1  # after the first name and its group tag
+    assert blob[rank_off : rank_off + 4] == (2).to_bytes(4, "little")
+    blob[rank_off : rank_off + 4] = (85).to_bytes(4, "little")
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="rank 85") as exc:
+        M.load_checkpoint(path)
+    assert exc.value.offset == rank_off
+
+
+def test_checkpoint_fuzz_raises_only_format_error(tmp_path):
+    """Seeded single-byte flips either load (a flipped value byte) or raise
+    FormatError; every strict prefix of the file raises FormatError."""
+    params = M.model_init(tiny_cfg(aggregator_kind="gru", seed=12))
+    path = tmp_path / "model.sfck"
+    M.save_checkpoint(params, path)
+    blob = path.read_bytes()
+    bad = tmp_path / "bad.sfck"
+    rng = np.random.default_rng(1236)
+    for off, mask in zip(rng.integers(0, len(blob), 3000), rng.integers(1, 256, 3000)):
+        flipped = bytearray(blob)
+        flipped[off] ^= mask
+        bad.write_bytes(bytes(flipped))
+        try:
+            M.load_checkpoint(bad)
+        except FormatError:
+            pass
+    for length in range(len(blob)):
+        bad.write_bytes(blob[:length])
+        with pytest.raises(FormatError):
+            M.load_checkpoint(bad)

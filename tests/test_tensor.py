@@ -372,6 +372,87 @@ def test_shared_leaf_accumulates():
     assert np.array_equal(x.grad, [2.0])
 
 
+def test_added_leaves_get_grads_that_share_no_memory():
+    a = T.Tensor([1.0, 2.0], requires_grad=True)
+    b = T.Tensor([3.0, 4.0], requires_grad=True)
+    with T.Tape() as tape:
+        tape.backward(T.reduce_sum(a + b, 0))
+    assert np.array_equal(a.grad, [1.0, 1.0]) and np.array_equal(b.grad, [1.0, 1.0])
+    assert not np.shares_memory(a.grad, b.grad)
+
+
+def _copy_first_backward(tape, loss):
+    """The reverse sweep with every first gradient piece copied: the
+    accumulation rule ``Tape.backward`` must reproduce bit for bit."""
+    grads = [None] * len(tape.tensors)
+    grads[tape.node(loss)] = np.ones_like(loss.data)
+    for out_id, in_ids, need, backward_fn in reversed(tape.entries):
+        g = grads[out_id]
+        if g is None:
+            continue
+        for nid, piece in zip(in_ids, backward_fn(g, need)):
+            if nid is None or piece is None:
+                continue
+            if grads[nid] is None:
+                grads[nid] = piece.copy()
+            else:
+                grads[nid] += piece
+    return [g for t, g in zip(tape.tensors, grads) if t.requires_grad and g is not None]
+
+
+def _random_graph(rng, leaves, weight, steps=12):
+    """A random [n,d] graph over ``leaves``, mixing ops whose pieces are
+    g itself, views of g and fresh arrays, with reused intermediates."""
+    nodes = list(leaves)
+    n = leaves[0].shape[0]
+    for _ in range(steps):
+        x, y = (nodes[i] for i in rng.integers(len(nodes), size=2))
+        op = rng.integers(9)
+        if op == 0:
+            z = x + y
+        elif op == 1:
+            z = x * y
+        elif op == 2:
+            z = T.matmul(x, weight)
+        elif op == 3:
+            z = T.relu(x - y)
+        elif op == 4:
+            z = T.softmax_set(x)
+        elif op == 5:
+            z = T.stack_rows([T.take_rows(x, int(i), int(i) + 1) for i in rng.permutation(n)])
+        elif op == 6:
+            i = int(rng.integers(n))
+            z = T.add_rowvec(T.sigmoid(x), T.take_rows(y, i, i + 1))
+        elif op == 7:
+            z = T.reshape(T.reshape(x, [x.size]), x.shape) + T.set_sum(T.reshape(y, [y.size])) * 0.01
+        else:
+            d = x.shape[1]
+            z = T.add_rowvec(T.repeat_cols(T.reshape(T.reduce_sum(y, 1), [n, 1]), d),
+                             T.reshape(T.set_max(x), [1, d]))
+        nodes.append(z)
+    return nodes[-1] + nodes[len(leaves) + steps // 2] + leaves[0]
+
+
+def test_first_pieces_kept_in_place_match_the_copy_first_rule_bit_for_bit():
+    rng = np.random.default_rng(14)
+    for trial in range(40):
+        n, d = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        leaves = [T.Tensor(rng.standard_normal((n, d)), requires_grad=bool(rng.integers(2)) or i == 0)
+                  for i in range(3)]
+        weight = T.Tensor(rng.standard_normal((d, d)), requires_grad=bool(rng.integers(2)))
+        before = [t.data.copy() for t in (*leaves, weight)]
+        with T.Tape() as tape:
+            out = _random_graph(rng, leaves, weight)
+            loss = T.reduce_sum(T.reduce_sum(out * T.Tensor(rng.standard_normal((n, d))), 1), 0)
+            want = _copy_first_backward(tape, loss)
+            tape.backward(loss)
+        got = [t.grad for t in tape.tensors if t.requires_grad and t.grad is not None]
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        assert all(np.array_equal(t.data, b) for t, b in zip((*leaves, weight), before))
+        for i, g in enumerate(got):
+            assert not any(np.shares_memory(g, h) for h in got[i + 1:])
+
+
 def test_released_tape_frees_its_graph_without_gc():
     rng = np.random.default_rng(10)
     x = T.Tensor(rng.standard_normal((4, 3)))
@@ -491,6 +572,30 @@ def test_gradcheck_structural_ops():
         check_grad(lambda t: w(T.reshape(t, [n * d])), T.Tensor(rng.standard_normal((n, d))))
 
 
+def test_gradcheck_take_rows():
+    rng = np.random.default_rng(109)
+    for trial in range(20):
+        n, d = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        start = int(rng.integers(n))
+        stop = int(rng.integers(start + 1, n + 1))
+        w = scalarize(rng.standard_normal((stop - start) * d))
+        wrow = scalarize(rng.standard_normal(d))
+        # overlapping ranges of one input: their pieces accumulate
+        check_grad(lambda t: w(T.take_rows(t, start, stop)) + wrow(T.take_rows(t, start, start + 1)),
+                   T.Tensor(rng.standard_normal((n, d))))
+
+
+def test_take_rows_records_nothing_without_a_trainable_input():
+    x = T.Tensor(np.arange(12.0).reshape(4, 3))
+    with T.Tape() as tape:
+        rows = T.take_rows(x, 1, 3)
+    assert tape.entries == [] and not tape.needs(rows)
+    assert np.array_equal(rows.data, x.data[1:3])
+    for start, stop in ((2, 2), (3, 5), (-1, 2)):
+        with pytest.raises(ShapeError):
+            T.take_rows(x, start, stop)
+
+
 def test_gradcheck_bce():
     rng = np.random.default_rng(107)
     for trial in range(20):
@@ -566,7 +671,7 @@ def _run_gru(step, xs, h0, ws, rvec, trained):
     with T.Tape() as tape:
         out = h
         for i in range(xs.shape[0]):
-            out = step(T.take_row(x, i), out, *(w[k] for k in GRU_ARGS[2:]))
+            out = step(T.take_rows(x, i, i + 1), out, *(w[k] for k in GRU_ARGS[2:]))
         tape.backward(T.reduce_sum(T.reduce_sum(T.ew_binary("mul", out, T.Tensor(rvec)), 1), 0))
     return out.data, {k: t.grad for k, t in leaves.items() if k in trained}, len(tape.entries)
 
@@ -587,7 +692,7 @@ def test_gru_cell_matches_primitive_chain_bit_for_bit(trained):
     assert grads.keys() == ref_grads.keys() == set(trained)
     for name in trained:
         assert grads[name].tobytes() == ref_grads[name].tobytes(), name
-    steps = xs.shape[0] * (2 if "x" in trained else 1)  # cells, plus take_row when x trains
+    steps = xs.shape[0] * (2 if "x" in trained else 1)  # cells, plus take_rows when x trains
     assert entries == steps + 3 < ref_entries
 
 

@@ -8,7 +8,9 @@ from setfusion import data as D
 from setfusion import model as M
 from setfusion import tensor as T
 from setfusion import training as TR
+from setfusion.aggregators import FeatureSet, aggregate
 from setfusion.errors import ContractError, NumericOverflowError
+from setfusion.model import _agg_params
 from setfusion.tensor import Tensor
 
 
@@ -217,6 +219,28 @@ def test_stage2_tape_is_shorter_than_joint(tiny_dataset, monkeypatch):
     assert stage2 < joint
 
 
+def test_set_loss_encodes_every_view_of_a_step_in_one_batch(tiny_dataset, monkeypatch):
+    rows = []
+    encode = TR.encode_batch
+
+    def counting_encode(images, params):
+        rows.append(images.shape[0])
+        return encode(images, params)
+
+    monkeypatch.setattr(TR, "encode_batch", counting_encode)
+    params = tiny_model()
+    batch = TR.sample_minibatch(tiny_dataset, tiny_train_cfg(n_mode="uniform:1:4"), 0)
+    loss = TR._set_loss(params, batch)
+    assert rows == [sum(len(views) for views, _ in batch)]
+    monkeypatch.undo()
+    per_set = [M.encode_batch(Tensor(views), params) for views, _ in batch]
+    d = params.cfg.latent_dim
+    fused = [T.reshape(aggregate(FeatureSet(z), _agg_params(params))[0], [1, d]) for z in per_set]
+    want = T.bce_loss(M.decode_batch(T.stack_rows(fused), params),
+                      Tensor(np.stack([target for _, target in batch])))
+    assert abs(loss.item() - want.item()) < 1e-12
+
+
 def test_stage2_improves_multiview_training_loss(tiny_dataset):
     params = tiny_model()
     cfg = tiny_train_cfg(stage1_steps=60, stage2_steps=60, n_mode="fixed:4")
@@ -254,6 +278,17 @@ def test_joint_fixed1_matches_stage1_base_trajectory(tiny_dataset):
     TR.joint_train(b, tiny_dataset, cfg)
     assert a.checksum("base") == b.checksum("base")
     assert b.checksum("att") == tiny_model(seed=2).checksum("att")  # zero gradients
+
+
+@pytest.mark.parametrize("kind", ["mean", "gru"])
+def test_single_view_train_is_joint_fixed1_over_all_parameters(tiny_dataset, kind):
+    cfg = tiny_train_cfg(stage1_steps=6, n_mode="fixed:4")
+    a = tiny_model(kind)
+    single = TR.single_view_train(a, tiny_dataset, cfg)
+    b = tiny_model(kind)
+    joint = TR.joint_train(b, tiny_dataset, replace(cfg, n_mode="fixed:1", stage2_steps=0))
+    assert single.stage == "stage1" and single.steps == 6
+    assert single.losses == joint.losses and a.checksum() == b.checksum()
 
 
 def test_joint_multiview_updates_both_groups(tiny_dataset):
