@@ -12,6 +12,7 @@ error, 3 selftest failure, 4 numeric overflow in training.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -125,9 +126,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .errors import ContractError
     from .metrics import eval_sweep
-    from .model import load_checkpoint, model_init
+    from .model import load_checkpoint
 
     cfg, out_dir = _resolve(args)
     testset, _ = _load_split(cfg, "test")
@@ -135,12 +135,6 @@ def cmd_eval(args) -> int:
     if not Path(ck).exists():
         raise OSError(f"missing checkpoint {ck}; train first or pass paths.checkpoint")
     params = load_checkpoint(ck, cfg=cfg.model)
-    expected = {(n, t.shape) for n, _, t in model_init(cfg.model).named()}
-    got = {(n, t.shape) for n, _, t in params.named()}
-    if expected != got:
-        raise ContractError(
-            f"checkpoint tensors do not match the configured model: missing "
-            f"{sorted(expected - got)}, unexpected {sorted(got - expected)}")
     report = eval_sweep(params, testset, cfg.eval, method=cfg.model.aggregator_kind)
     (out_dir / "eval.csv").write_text(report.to_csv())
     (out_dir / "eval.json").write_text(report.to_json())
@@ -152,13 +146,11 @@ def cmd_eval(args) -> int:
 
 def cmd_bench(args) -> int:
     from .bench import run_bench
-    from .model import ModelConfig
 
     cfg, out_dir = _resolve(args)
     bench_cfg = cfg.bench
-    pipe_cfg = ModelConfig(**{**cfg.sections["model"],
-                              "latent_dim": bench_cfg.latent_dim,
-                              "max_views": max(bench_cfg.n_grid)})
+    pipe_cfg = dataclasses.replace(cfg.model, latent_dim=bench_cfg.latent_dim,
+                                   max_views=max(bench_cfg.n_grid))
     report = run_bench(bench_cfg, model_cfg=pipe_cfg)
     (out_dir / "bench.csv").write_text(report.to_csv())
     (out_dir / "bench.json").write_text(report.to_json())

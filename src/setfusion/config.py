@@ -1,21 +1,27 @@
 """Run configuration: one JSON schema shared by every command.
 
 A config document has up to six sections (``data``, ``model``, ``train``,
-``eval``, ``bench``, ``paths``); every field has a default, a config file
+``eval``, ``bench``, ``paths``). The keys of the first five are the
+fields of their dataclasses (``DatasetMeta``, ``ModelConfig``,
+``TrainConfig``, ``EvalConfig``, ``BenchConfig``), with those fields'
+defaults; ``DatasetMeta``'s ``view_count``, ``version`` and ``split`` are
+fixed by the build or the loader and are not config keys. A config file
 overrides defaults, and repeatable dotted-key assignments
-(``--set train.n_mode=fixed:8``) override the file. Unknown sections or
-keys are rejected outright so typos cannot silently fall back to defaults.
-Every command echoes its fully resolved configuration into the output
-directory; that echo (plus the seed) reproduces the run byte for byte,
-timing fields aside.
+(``--set train.n_mode=fixed:8``) override the file; both go through the
+same check, which rejects unknown sections or keys outright so typos
+cannot silently fall back to defaults. Every command echoes its fully
+resolved configuration into the output directory; that echo (plus the
+seed) reproduces the run byte for byte, timing fields aside.
 
 A top-level ``--seed S`` derives section seeds (data=S, model=S+1,
-train=S+2, eval=S+3, bench=S+4) before ``--set`` overrides apply.
+train=S+2, eval=S+3, bench=S+4) before ``--set`` overrides apply. The
+default seeds are what ``--seed 0`` derives.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,85 +35,36 @@ from .training import TrainConfig
 
 __all__ = ["RunConfig", "load_run_config", "DEFAULTS"]
 
-DEFAULTS: dict = {
-    "data": {
-        "train_count": 2000,
-        "test_count": 500,
-        "grid_side": 16,
-        "image_side": 16,
-        "seed": 0,
-    },
-    "model": {
-        "image_side": 16,
-        "latent_dim": 128,
-        "encoder_hidden": 256,
-        "decoder_hidden": 512,
-        "grid_side": 16,
-        "aggregator_kind": "attsets_fc",
-        "seed": 1,
-        "max_views": 24,
-    },
-    "train": {
-        "batch_size": 16,
-        "stage1_steps": 600,
-        "stage2_steps": 600,
-        "n_mode": "fixed:8",
-        "learning_rate": 1e-3,
-        "finetune_rate": 1e-5,
-        "optimizer": "adam",
-        "seed": 2,
-    },
-    "eval": {
-        "view_counts": [1, 2, 3, 4, 5, 8],
-        "seed": 3,
-    },
-    "bench": {
-        "n_grid": [1, 4, 8, 12, 16, 20, 24],
-        "latent_dim": 128,
-        "repeats": 30,
-        "warmups": 5,
-        "inner_loops": 4,
-        "aggregators": list(BenchConfig.aggregators),
-        "seed": 4,
-    },
-    "paths": {
-        "out_dir": "runs",
-        "dataset_dir": "",
-        "checkpoint": "",
-    },
-}
-
+_SECTIONS = {"data": DatasetMeta, "model": ModelConfig, "train": TrainConfig,
+             "eval": EvalConfig, "bench": BenchConfig}
 _SEED_OFFSETS = {"data": 0, "model": 1, "train": 2, "eval": 3, "bench": 4}
+# DatasetMeta fields that the build (view_count, version) or the loader (split) sets.
+_NOT_KEYS = {"view_count", "version", "split"}
+
+
+def _section_defaults(section: str) -> dict:
+    body = {f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+            for f in dataclasses.fields(_SECTIONS[section]) if f.name not in _NOT_KEYS}
+    body["seed"] = _SEED_OFFSETS[section]
+    return body
+
+
+DEFAULTS: dict = {section: _section_defaults(section) for section in _SECTIONS}
+DEFAULTS["paths"] = {"out_dir": "runs", "dataset_dir": "", "checkpoint": ""}
 
 
 @dataclass
 class RunConfig:
     sections: dict
 
-    @property
-    def data(self) -> DatasetMeta:
-        return DatasetMeta(**self.sections["data"])
-
-    @property
-    def model(self) -> ModelConfig:
-        return ModelConfig(**self.sections["model"])
-
-    @property
-    def train(self) -> TrainConfig:
-        return TrainConfig(**self.sections["train"])
-
-    @property
-    def eval(self) -> EvalConfig:
-        s = self.sections["eval"]
-        return EvalConfig(view_counts=tuple(s["view_counts"]), seed=s["seed"])
-
-    @property
-    def bench(self) -> BenchConfig:
-        s = self.sections["bench"]
-        return BenchConfig(n_grid=tuple(s["n_grid"]), latent_dim=s["latent_dim"],
-                           repeats=s["repeats"], warmups=s["warmups"],
-                           inner_loops=s["inner_loops"],
-                           aggregators=tuple(s["aggregators"]), seed=s["seed"])
+    def __getattr__(self, section: str):
+        """``cfg.data``, ``cfg.model``, ``cfg.train``, ``cfg.eval``, ``cfg.bench``:
+        a fresh section object, with JSON lists turned back into tuples."""
+        if section not in _SECTIONS:
+            raise AttributeError(section)
+        body = self.sections[section]
+        return _SECTIONS[section](**{k: tuple(v) if isinstance(v, list) else v
+                                     for k, v in body.items()})
 
     @property
     def paths(self) -> dict:
@@ -121,14 +78,17 @@ class RunConfig:
         return path
 
 
-def _reject_unknown(doc: dict, allowed: dict, prefix: str = "") -> None:
-    for key, value in doc.items():
-        if key not in allowed:
-            raise ContractError(f"unknown config key {prefix + key!r}")
-        if isinstance(allowed[key], dict):
-            if not isinstance(value, dict):
-                raise ContractError(f"config key {prefix + key!r} must be a section object")
-            _reject_unknown(value, allowed[key], prefix=f"{prefix}{key}.")
+def _merge(sections: dict, doc: dict) -> None:
+    """Lay a config document over ``sections`` after checking its keys."""
+    for section, body in doc.items():
+        if section not in DEFAULTS:
+            raise ContractError(f"unknown config key {section!r}")
+        if not isinstance(body, dict):
+            raise ContractError(f"config key {section!r} must be a section object")
+        for key in body:
+            if key not in DEFAULTS[section]:
+                raise ContractError(f"unknown config key {f'{section}.{key}'!r}")
+        sections[section].update(body)
 
 
 def _parse_value(raw: str):
@@ -180,9 +140,7 @@ def load_run_config(config_path: str | None = None, overrides: list[str] | None 
             raise ContractError(f"config file is not valid JSON: {e}") from e
         if not isinstance(doc, dict):
             raise ContractError("config file must hold a JSON object")
-        _reject_unknown(doc, DEFAULTS)
-        for section, body in doc.items():
-            sections[section].update(body)
+        _merge(sections, doc)
 
     if seed is not None:
         if seed < 0:
@@ -194,13 +152,10 @@ def load_run_config(config_path: str | None = None, overrides: list[str] | None 
         if "=" not in item:
             raise ContractError(f"--set needs key=value, got {item!r}")
         dotted, raw = item.split("=", 1)
-        parts = dotted.split(".")
-        if len(parts) != 2 or parts[0] not in sections:
+        section, dot, key = dotted.partition(".")
+        if not dot:
             raise ContractError(f"unknown config key {dotted!r}")
-        section, key = parts
-        if key not in sections[section]:
-            raise ContractError(f"unknown config key {dotted!r}")
-        sections[section][key] = _parse_value(raw)
+        _merge(sections, {section: {key: _parse_value(raw)}})
 
     if out_dir is not None:
         sections["paths"]["out_dir"] = str(out_dir)

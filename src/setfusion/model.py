@@ -144,18 +144,22 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-r, r, size=(fan_in, fan_out))
 
 
+def _base_layers(cfg: ModelConfig) -> list[tuple[str, int, int]]:
+    """(weight name, fan in, fan out) of the encoder and decoder layers."""
+    d, he, hd = cfg.latent_dim, cfg.encoder_hidden, cfg.decoder_hidden
+    return [("enc_w1", cfg.image_side ** 2, he), ("enc_w2", he, d), ("dec_w1", d, hd),
+            ("dec_w2", hd, cfg.voxel_count)]
+
+
 def model_init(cfg: ModelConfig) -> ParamBundle:
     """Deterministic parameter bundle for the given config and seed."""
     cfg.validate()
-    p = cfg.image_side ** 2
-    d, he, hd, voxels = cfg.latent_dim, cfg.encoder_hidden, cfg.decoder_hidden, cfg.voxel_count
-    layers = [("enc_w1", p, he), ("enc_w2", he, d), ("dec_w1", d, hd), ("dec_w2", hd, voxels)]
     base: dict[str, Tensor] = {}
-    for idx, (name, fan_in, fan_out) in enumerate(layers):
+    for idx, (name, fan_in, fan_out) in enumerate(_base_layers(cfg)):
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, idx]))
         base[name] = Tensor(_glorot(rng, fan_in, fan_out), requires_grad=True)
         base[name.replace("w", "b")] = T.tensor_new([1, fan_out], "zeros", requires_grad=True)
-    agg = aggregator_init(cfg.aggregator_kind, d, seed=cfg.seed)
+    agg = aggregator_init(cfg.aggregator_kind, cfg.latent_dim, seed=cfg.seed)
     att = {f"att_{k}": t for k, t in agg.weights.items()}
     return ParamBundle(base=base, att=att, cfg=cfg)
 
@@ -264,8 +268,22 @@ class _Reader:
         return struct.unpack("<I", self.take(4, what))[0]
 
 
+def _expected_tensors(cfg: ModelConfig) -> set:
+    """(name, group tag, shape) of every tensor ``model_init(cfg)`` builds,
+    without drawing the base group's initial weights."""
+    cfg.validate()
+    expected = set()
+    for name, fan_in, fan_out in _base_layers(cfg):
+        expected |= {(name, "base", (fan_in, fan_out)),
+                     (name.replace("w", "b"), "base", (1, fan_out))}
+    agg = aggregator_init(cfg.aggregator_kind, cfg.latent_dim, seed=cfg.seed)
+    return expected | {(f"att_{k}", "att", t.shape) for k, t in agg.weights.items()}
+
+
 def load_checkpoint(path, cfg: ModelConfig | None = None) -> ParamBundle:
-    """Bit-exact inverse of ``save_checkpoint``."""
+    """Bit-exact inverse of ``save_checkpoint``. With a ``cfg``, the file's
+    tensors must be exactly those that config builds, by name, group and
+    shape; a mismatch raises ``ContractError``."""
     with open(path, "rb") as f:
         blob = f.read()
     r = _Reader(blob)
@@ -299,4 +317,12 @@ def load_checkpoint(path, cfg: ModelConfig | None = None) -> ParamBundle:
         groups[_TAG_GROUPS[tag_byte]][name] = Tensor(data, requires_grad=True)
     if r.off != len(blob):
         raise FormatError("trailing bytes after final tensor", offset=r.off)
-    return ParamBundle(base=groups["base"], att=groups["att"], cfg=cfg)
+    params = ParamBundle(base=groups["base"], att=groups["att"], cfg=cfg)
+    if cfg is not None:
+        expected = _expected_tensors(cfg)
+        got = {(n, tag, t.shape) for n, tag, t in params.named()}
+        if expected != got:
+            raise ContractError(
+                f"checkpoint tensors do not match the configured model: missing "
+                f"{sorted(expected - got)}, unexpected {sorted(got - expected)}")
+    return params

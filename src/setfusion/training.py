@@ -3,11 +3,12 @@
 The two-stage schedule splits optimization by parameter group:
 
 * Stage 1 trains only the ``base`` group (encoder + decoder) on
-  single-image reconstructions. Each drawn image runs through the full
-  pipeline as a one-element set, and the loss is the mean over all M*N
-  single-image reconstructions of the step. Attention weights receive
-  exactly zero gradient on one-element sets; they are frozen for the stage
-  all the same, so they stay bit-identical regardless of optimizer state.
+  single-image reconstructions. Each of the step's M samples draws one
+  view, which runs through the full pipeline as a one-element set, and
+  the loss is the mean over the M single-image reconstructions.
+  Attention weights receive exactly zero gradient on one-element sets;
+  they are frozen for the stage all the same, so they stay bit-identical
+  regardless of optimizer state.
 * Stage 2 trains only the ``att`` group on multi-element sets, with the
   loss averaged over the M per-set reconstructions. The base group is
   frozen, so single-view behavior after stage 2 is bit-identical to the
@@ -234,31 +235,20 @@ def _set_loss(params: ParamBundle, sets) -> Tensor:
     one batch, hand each set its rows, aggregate, decode all fused latents
     as one batch, mean BCE against the targets."""
     agg = _agg_params(params)
-    d = params.cfg.latent_dim
     latents = encode_batch(Tensor(np.vstack([views for views, _ in sets])), params)
     fused_rows = []
     start = 0
     for views, _ in sets:
         stop = start + len(views)
         y, _ = aggregate(FeatureSet(T.take_rows(latents, start, stop)), agg)
-        fused_rows.append(T.reshape(y, [1, d]))
+        fused_rows.append(y)
         start = stop
     probs = decode_batch(T.stack_rows(fused_rows), params)
     return T.bce_loss(probs, Tensor(np.stack([target for _, target in sets])))
 
 
-def _per_image_sets(batch):
-    """Decompose each sample into one-element sets, one per drawn view."""
-    sets = []
-    for views, target in batch:
-        for row in views:
-            sets.append((row.reshape(1, -1), target))
-    return sets
-
-
 def _run(params: ParamBundle, dataset, cfg: TrainConfig, *, stage: str, steps: int,
-         group: str, lr: float, n_mode: str, per_image: bool,
-         warning: str | None = None) -> TrainReport:
+         group: str, lr: float, n_mode: str) -> TrainReport:
     cfg.validate()
     state = OptimizerState()
     losses: list[float] = []
@@ -272,10 +262,9 @@ def _run(params: ParamBundle, dataset, cfg: TrainConfig, *, stage: str, steps: i
         with np.errstate(all="ignore"):
             for step in range(steps):
                 batch = sample_minibatch(dataset, cfg, step, n_mode=n_mode)
-                sets = _per_image_sets(batch) if per_image else batch
                 params.zero_grads()
                 with T.Tape() as tape:
-                    loss = _set_loss(params, sets)
+                    loss = _set_loss(params, batch)
                     tape.backward(loss)
                 optimizer_step(params, group, lr, state, cfg.optimizer)
                 losses.append(loss.item())
@@ -287,20 +276,20 @@ def _run(params: ParamBundle, dataset, cfg: TrainConfig, *, stage: str, steps: i
     wallclock_ms = (time.perf_counter() - start) * 1000.0
     return TrainReport(stage=stage, steps=steps, losses=losses, wallclock_ms=wallclock_ms,
                        base_checksum=params.checksum("base"),
-                       att_checksum=params.checksum("att"), warning=warning)
+                       att_checksum=params.checksum("att"))
 
 
 def faset_stage1(params: ParamBundle, dataset, cfg: TrainConfig) -> TrainReport:
     """Stage 1: base group only, single-image reconstructions (fixed(1) draws)."""
     return _run(params, dataset, cfg, stage="stage1", steps=cfg.stage1_steps,
-                group="base", lr=cfg.learning_rate, n_mode="fixed:1", per_image=True)
+                group="base", lr=cfg.learning_rate, n_mode="fixed:1")
 
 
 def single_view_train(params: ParamBundle, dataset, cfg: TrainConfig) -> TrainReport:
     """Stage 1 for aggregators without a separable attention module: every
     parameter trained on single-image reconstructions (fixed(1) draws)."""
     return _run(params, dataset, cfg, stage="stage1", steps=cfg.stage1_steps,
-                group="all", lr=cfg.learning_rate, n_mode="fixed:1", per_image=True)
+                group="all", lr=cfg.learning_rate, n_mode="fixed:1")
 
 
 def faset_stage2(params: ParamBundle, dataset, cfg: TrainConfig) -> TrainReport:
@@ -316,7 +305,7 @@ def faset_stage2(params: ParamBundle, dataset, cfg: TrainConfig) -> TrainReport:
                            base_checksum=params.checksum("base"),
                            att_checksum=params.checksum("att"), warning=msg)
     return _run(params, dataset, cfg, stage="stage2", steps=cfg.stage2_steps,
-                group="att", lr=cfg.learning_rate, n_mode=cfg.n_mode, per_image=False)
+                group="att", lr=cfg.learning_rate, n_mode=cfg.n_mode)
 
 
 def joint_train(params: ParamBundle, dataset, cfg: TrainConfig) -> TrainReport:
@@ -326,11 +315,11 @@ def joint_train(params: ParamBundle, dataset, cfg: TrainConfig) -> TrainReport:
     run."""
     return _run(params, dataset, cfg, stage="joint",
                 steps=cfg.stage1_steps + cfg.stage2_steps, group="all",
-                lr=cfg.learning_rate, n_mode=cfg.n_mode, per_image=False)
+                lr=cfg.learning_rate, n_mode=cfg.n_mode)
 
 
 def finetune(params: ParamBundle, dataset, cfg: TrainConfig) -> TrainReport:
     """Whole-network pass at the finetune rate; the stage-2 analog for
     pooling and recurrent aggregators."""
     return _run(params, dataset, cfg, stage="finetune", steps=cfg.stage2_steps,
-                group="all", lr=cfg.finetune_rate, n_mode=cfg.n_mode, per_image=False)
+                group="all", lr=cfg.finetune_rate, n_mode=cfg.n_mode)

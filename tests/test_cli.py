@@ -1,8 +1,16 @@
+import copy
+import dataclasses
 import json
 
 import pytest
 
+from setfusion.bench import BenchConfig
 from setfusion.cli import main
+from setfusion.config import DEFAULTS, RunConfig, load_run_config
+from setfusion.data import DatasetMeta
+from setfusion.metrics import EvalConfig
+from setfusion.model import ModelConfig
+from setfusion.training import TrainConfig
 
 TINY_DATA = [
     "--set", "data.train_count=20", "--set", "data.test_count=6",
@@ -181,6 +189,32 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
 def test_unknown_section_rejected(tmp_path, capsys):
     code = run("generate", "--out", str(tmp_path), "--set", "dta.train_count=5")
     assert code == 1
+    assert "unknown config key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dotted", ["train_count", "data.train_count.x"])
+def test_malformed_set_key_rejected(tmp_path, capsys, dotted):
+    code = run("generate", "--out", str(tmp_path), "--set", f"{dotted}=5")
+    assert code == 1
+    assert "unknown config key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section,cls,seed", [
+    ("data", DatasetMeta, 0), ("model", ModelConfig, 1), ("train", TrainConfig, 2),
+    ("eval", EvalConfig, 3), ("bench", BenchConfig, 4)])
+def test_section_defaults_are_the_dataclass_fields(section, cls, seed):
+    fixed = {"view_count", "version", "split"}  # set by the build or the loader
+    expected = {f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+                for f in dataclasses.fields(cls) if f.name not in fixed}
+    expected["seed"] = seed
+    assert DEFAULTS[section] == expected
+    built = getattr(RunConfig(sections=copy.deepcopy(DEFAULTS)), section)
+    assert type(built) is cls
+    assert built == dataclasses.replace(cls(), seed=seed)
+
+
+def test_default_seeds_are_what_seed_zero_derives():
+    assert load_run_config(seed=0).sections == DEFAULTS
 
 
 def test_wrongly_typed_value_rejected(tmp_path, capsys):

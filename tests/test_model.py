@@ -251,6 +251,23 @@ def test_checkpoint_rank_beyond_numpy_reports_offset(tmp_path):
     assert exc.value.offset == rank_off
 
 
+@pytest.mark.parametrize("corrupt", ["renamed", "regrouped"])
+def test_checkpoint_not_matching_cfg_is_contract_error(tmp_path, corrupt):
+    cfg = tiny_cfg(aggregator_kind="gru", seed=12)
+    path = tmp_path / "model.sfck"
+    M.save_checkpoint(M.model_init(cfg), path)
+    blob = bytearray(path.read_bytes())
+    name_off = blob.index(b"att_Wh")
+    if corrupt == "renamed":
+        blob[name_off] = 0x02  # att_Wh -> \x02tt_Wh, still valid UTF-8
+    else:
+        blob[name_off + len(b"att_Wh")] ^= 1  # group tag att -> base
+    path.write_bytes(bytes(blob))
+    M.load_checkpoint(path)  # without a cfg the file still parses
+    with pytest.raises(ContractError, match="do not match the configured model"):
+        M.load_checkpoint(path, cfg=cfg)
+
+
 def test_checkpoint_fuzz_raises_only_format_error(tmp_path):
     """Seeded single-byte flips either load (a flipped value byte) or raise
     FormatError; every strict prefix of the file raises FormatError."""

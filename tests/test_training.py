@@ -166,7 +166,7 @@ def test_stage1_attention_gradient_exactly_zero(tiny_dataset):
     batch = TR.sample_minibatch(tiny_dataset, tiny_train_cfg(), 0, n_mode="fixed:1")
     params.zero_grads()
     with T.Tape() as tape:
-        loss = TR._set_loss(params, TR._per_image_sets(batch))
+        loss = TR._set_loss(params, batch)
         tape.backward(loss)
     assert params.att["att_W"].grad is not None
     assert np.array_equal(params.att["att_W"].grad, np.zeros(64))
