@@ -18,7 +18,7 @@ The package is organized as a small numpy-backed library:
 """
 
 from .aggregators import (AGGREGATOR_KINDS, AggregatorParams, AttentionMap, FeatureSet,
-                          aggregate, aggregator_init, attsets_conv, attsets_elem,
+                          SetBatch, aggregate, aggregator_init, attsets_conv, attsets_elem,
                           attsets_fc, gru_aggregate, pool)
 from .data import (DatasetMeta, MultiViewSample, ShapeSpec, generate_dataset,
                    load_dataset, make_shape, render_view)
@@ -33,7 +33,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AGGREGATOR_KINDS", "AggregatorParams", "AttentionMap", "FeatureSet",
-    "aggregate", "aggregator_init", "attsets_conv", "attsets_elem", "attsets_fc",
+    "SetBatch", "aggregate", "aggregator_init", "attsets_conv", "attsets_elem", "attsets_fc",
     "gru_aggregate", "pool",
     "DatasetMeta", "MultiViewSample", "ShapeSpec", "generate_dataset",
     "load_dataset", "make_shape", "render_view",

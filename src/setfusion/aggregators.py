@@ -21,6 +21,15 @@ softmax cancels, so there is none. Baselines: max/mean/sum pooling (no
 parameters) and a GRU that consumes the set as a sequence, which is
 deliberately order-dependent; each of its steps is one fused ``gru_cell``.
 
+``aggregate`` takes one ``FeatureSet`` or a ``SetBatch`` of M sets stored
+back to back (a training step's). On a batch the GRU runs all M sets as
+one packed recurrence: sorted longest first, time step i is one
+``gru_cell`` on the [B_i, D] rows of the B_i sets that still have a view
+i, and the fused rows come back in set order. A single set (``predict``,
+``gru_aggregate``) runs the same packed routine with B = 1, whose bits are
+those of the plain recurrence. The other kinds run their one-set kernel on
+each set of a batch in turn, so their bits do not depend on the batching.
+
 All non-GRU aggregators are permutation invariant bit-for-bit: every
 reduction over the set axis goes through ``set_sum``/``set_max`` and every
 per-element linear map through ``matmul_rows`` (see tensor module notes).
@@ -34,6 +43,7 @@ the two paths produce identical bits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -43,6 +53,7 @@ from .tensor import Tensor
 
 __all__ = [
     "FeatureSet",
+    "SetBatch",
     "AttentionMap",
     "AggregatorParams",
     "AGGREGATOR_KINDS",
@@ -84,6 +95,25 @@ class FeatureSet:
     def width(self) -> int:
         """Feature width an aggregator's weights must match (D, or C for spatial sets)."""
         return self.data.shape[-1]
+
+
+@dataclass
+class SetBatch:
+    """M sets stored back to back in the rows of one [R, D] matrix: set j is
+    the next ``lengths[j]`` rows, so R is the sum of the lengths."""
+
+    data: Tensor
+    lengths: tuple[int, ...]
+
+    def __post_init__(self):
+        self.lengths = tuple(int(n) for n in self.lengths)
+        if self.data.data.ndim != 2:
+            raise ShapeError(f"a set batch stores [R,D] rows, got {list(self.data.shape)}")
+        if not self.lengths or min(self.lengths) < 1:
+            raise ContractError("a set batch needs at least one set, each of at least one row")
+        if sum(self.lengths) != self.data.shape[0]:
+            raise ShapeError(f"set lengths sum to {sum(self.lengths)}, "
+                             f"but there are {self.data.shape[0]} rows")
 
 
 @dataclass
@@ -208,27 +238,91 @@ def pool(kind: str, fset: FeatureSet) -> Tensor:
     return T.set_sum(T.ew_binary("mul", x, inv_n))
 
 
+def _gru_packed(x: Tensor, lengths: tuple[int, ...], w: dict[str, Tensor]) -> Tensor:
+    """Final GRU states, [M, H] in set order, of the M sets stored back to
+    back in the rows of ``x`` (set j is the next ``lengths[j]`` rows).
+
+    The sets run as one packed batch, longest first (ties keep set order).
+    One gather puts the rows in time-major order, so time step i's rows are
+    the next B_i packed rows, those of the B_i sets that still have a view
+    i; the step is one ``gru_cell`` on them and on the first B_i rows of the
+    previous states. A state block is kept when a set ends after it, and one
+    gather reads each set's final row from those blocks.
+    """
+    order = sorted(range(len(lengths)), key=lambda j: -lengths[j])
+    lens = [lengths[j] for j in order]
+    first = list(accumulate(lengths, initial=0))  # each set's first row in x
+    packed = [first[j] + i for i in range(lens[0]) for j in order if lengths[j] > i]
+    if packed != list(range(len(packed))):
+        x = T.take_rows(x, packed)
+    h = Tensor(np.zeros((len(lens), w["Uz"].shape[0])))
+    blocks: list[Tensor] = []
+    final = [0] * len(lens)  # each set's row in the kept blocks
+    offset = row = 0
+    for i in range(lens[0] + 1):
+        running = h.shape[0]
+        while running and lens[running - 1] <= i:
+            running -= 1
+        if running < h.shape[0]:
+            for k in range(running, h.shape[0]):
+                final[order[k]] = offset + k
+            offset += h.shape[0]
+            blocks.append(h)
+            if not running:
+                break
+            h = T.take_rows(h, range(running))
+        h = T.gru_cell(T.take_rows(x, range(row, row + running)), h, w["Wz"], w["Uz"], w["bz"],
+                       w["Wr"], w["Ur"], w["br"], w["Wh"], w["Uh"], w["bh"])
+        row += running
+    out = blocks[0] if len(blocks) == 1 else T.stack_rows(blocks)
+    return out if final == list(range(len(final))) else T.take_rows(out, final)
+
+
 def gru_aggregate(fset: FeatureSet, params: AggregatorParams) -> Tensor:
     """Left-to-right recurrence over the set order; order-dependent by design.
 
-    Each step is one ``gru_cell`` on the next row, one tape entry per step.
+    The packed recurrence on a batch of this one set: each step is one
+    ``gru_cell`` on the next row, after a ``take_rows`` of that row.
     """
     _require_kind(params, "gru")
     x = fset.data
     if x.data.ndim != 2:
         raise ShapeError(f"gru needs an [N,D] set, got {list(x.shape)}")
-    w = params.weights
-    _check_width(w["Wz"], fset.width)
-    d = fset.width
-    h = Tensor(np.zeros((1, d)))
-    for i in range(fset.n):
-        h = T.gru_cell(T.take_rows(x, i, i + 1), h, w["Wz"], w["Uz"], w["bz"],
-                       w["Wr"], w["Ur"], w["br"], w["Wh"], w["Uh"], w["bh"])
-    return T.reshape(h, [d])
+    _check_width(params.weights["Wz"], fset.width)
+    h = _gru_packed(x, (fset.n,), params.weights)
+    return T.reshape(h, [fset.width])
 
 
-def aggregate(fset: FeatureSet, params: AggregatorParams) -> tuple[Tensor, AttentionMap | None]:
-    """Dispatch on ``params.kind``; attention map is None for poolings/GRU."""
+def aggregate(sets: FeatureSet | SetBatch, params: AggregatorParams
+              ) -> tuple[Tensor, AttentionMap | list[AttentionMap] | None]:
+    """Dispatch on ``params.kind``.
+
+    On one ``FeatureSet`` returns (fused features, attention map), the map
+    None for poolings and the GRU. On a ``SetBatch`` of M sets returns
+    ([M, out] fused rows in set order, the M attention maps or None): the
+    GRU runs the sets as one packed batch (see ``_gru_packed``), and every
+    other kind runs its one-set kernel on each set's rows in turn, so its
+    results are bit-identical to aggregating the sets one at a time.
+    """
+    if isinstance(sets, SetBatch):
+        return _aggregate_batch(sets, params)
+    return _aggregate_one(sets, params)
+
+
+def _aggregate_batch(batch: SetBatch, params: AggregatorParams):
+    if params.kind == "gru":
+        return _gru_packed(batch.data, batch.lengths, params.weights), None
+    fused, maps = [], []
+    start = 0
+    for n in batch.lengths:
+        y, attn = _aggregate_one(FeatureSet(T.take_rows(batch.data, range(start, start + n))), params)
+        fused.append(y)
+        maps.append(attn)
+        start += n
+    return T.stack_rows(fused), (maps if params.kind in ATTENTION_KINDS else None)
+
+
+def _aggregate_one(fset: FeatureSet, params: AggregatorParams) -> tuple[Tensor, AttentionMap | None]:
     kind = params.kind
     if kind == "attsets_fc":
         return attsets_fc(fset, params)

@@ -46,8 +46,8 @@ class BenchConfig:
         if self.repeats < 30 or self.warmups < 5:
             raise ContractError("benchmark needs >= 30 repetitions after >= 5 warmups")
         grid = list(self.n_grid)
-        if any(b <= a for a, b in zip(grid, grid[1:])) or grid[0] < 1:
-            raise ContractError("n_grid must be strictly increasing and >= 1")
+        if not grid or any(b <= a for a, b in zip(grid, grid[1:])) or grid[0] < 1:
+            raise ContractError("n_grid must be non-empty, strictly increasing and >= 1")
         unknown = set(self.aggregators) - set(AGGREGATOR_KINDS)
         if unknown:
             raise ContractError(f"unknown aggregators {sorted(unknown)}")

@@ -149,6 +149,7 @@ def cmd_bench(args) -> int:
 
     cfg, out_dir = _resolve(args)
     bench_cfg = cfg.bench
+    bench_cfg.validate()  # before the grid is read
     pipe_cfg = dataclasses.replace(cfg.model, latent_dim=bench_cfg.latent_dim,
                                    max_views=max(bench_cfg.n_grid))
     report = run_bench(bench_cfg, model_cfg=pipe_cfg)

@@ -13,9 +13,13 @@ two-stage trainer updates exactly one group per stage, so group membership
 never changes after construction.
 
 ``predict`` encodes views one at a time (each encode is then bit-identical
-wherever the view sits in the input order) and is pure over an immutable
+wherever the view sits in the input order), aggregates them as one
+``FeatureSet`` in one ``aggregate`` call, and is pure over an immutable
 bundle, so reordering input views cannot change the output of any
-permutation-invariant aggregator, bit for bit.
+permutation-invariant aggregator, bit for bit. Training aggregates a whole
+step's sets in one packed call instead (see ``training``); for one set the
+GRU's packed routine has the bits of the plain recurrence, so ``predict``'s
+output does not depend on that batching.
 """
 
 from __future__ import annotations
@@ -235,29 +239,32 @@ _TAG_GROUPS = {v: k for k, v in _GROUP_TAGS.items()}
 def save_checkpoint(params: ParamBundle, path) -> None:
     """Binary layout: magic ``SFCK``, version u32, tensor count u32, then per
     tensor: name length u32 + UTF-8 name, group tag byte, rank u32, extents
-    u32 each, values as little-endian float64. All integers little-endian."""
+    u32 each, values as little-endian float64. All integers little-endian.
+
+    Each header and each tensor's buffer is written straight to the file,
+    with no copy of the whole file in memory.
+    """
     records = params.named("all")
-    blob = bytearray()
-    blob += CHECKPOINT_MAGIC
-    blob += struct.pack("<II", CHECKPOINT_VERSION, len(records))
+    pieces = [CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(records))]
     for name, tag, t in records:
         encoded = name.encode("utf-8")
-        blob += struct.pack("<I", len(encoded)) + encoded
-        blob += struct.pack("<B", _GROUP_TAGS[tag])
         shape = t.data.shape
-        blob += struct.pack("<I", len(shape))
-        blob += struct.pack(f"<{len(shape)}I", *shape) if shape else b""
-        blob += np.ascontiguousarray(t.data, dtype="<f8").tobytes()
+        pieces.append(struct.pack(f"<I{len(encoded)}sBI{len(shape)}I", len(encoded), encoded,
+                                  _GROUP_TAGS[tag], len(shape), *shape))
+        pieces.append(np.ascontiguousarray(t.data, dtype="<f8"))
     with open(path, "wb") as f:
-        f.write(bytes(blob))
+        for piece in pieces:
+            f.write(piece)
 
 
 class _Reader:
+    """Reads a checkpoint's fields from a memoryview of the file's bytes."""
+
     def __init__(self, blob: bytes):
-        self.blob = blob
+        self.blob = memoryview(blob)
         self.off = 0
 
-    def take(self, n: int, what: str) -> bytes:
+    def take(self, n: int, what: str) -> memoryview:
         if self.off + n > len(self.blob):
             raise FormatError(f"truncated checkpoint while reading {what}", offset=self.off)
         piece = self.blob[self.off : self.off + n]
@@ -287,7 +294,7 @@ def load_checkpoint(path, cfg: ModelConfig | None = None) -> ParamBundle:
     with open(path, "rb") as f:
         blob = f.read()
     r = _Reader(blob)
-    magic = r.take(4, "magic")
+    magic = bytes(r.take(4, "magic"))
     if magic != CHECKPOINT_MAGIC:
         raise FormatError(f"bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}", offset=0)
     version = r.u32("version")
@@ -300,7 +307,7 @@ def load_checkpoint(path, cfg: ModelConfig | None = None) -> ParamBundle:
         name_len = r.u32("name length")
         name_off = r.off
         try:
-            name = r.take(name_len, "name").decode("utf-8")
+            name = str(r.take(name_len, "name"), "utf-8")
         except UnicodeDecodeError:
             raise FormatError("tensor name is not valid UTF-8", offset=name_off) from None
         tag_byte = r.take(1, "group tag")[0]
@@ -313,7 +320,7 @@ def load_checkpoint(path, cfg: ModelConfig | None = None) -> ParamBundle:
         shape = struct.unpack(f"<{rank}I", r.take(4 * rank, "extents")) if rank else ()
         n_vals = math.prod(shape)
         raw = r.take(8 * n_vals, f"values of {name}")
-        data = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        data = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()  # copied once, writable
         groups[_TAG_GROUPS[tag_byte]][name] = Tensor(data, requires_grad=True)
     if r.off != len(blob):
         raise FormatError("trailing bytes after final tensor", offset=r.off)

@@ -27,9 +27,11 @@ rest of the package leans on:
 * ``matmul_rows`` computes each output row with an independent BLAS call:
   a row's bits then cannot depend on where it sits in the stack (plain
   gemm does not guarantee that).
-* ``gru_cell`` is one GRU step as a single primitive with a hand-derived
-  backward, bit-identical to the same step spelled out in primitives, so a
-  recurrent step costs one tape entry.
+* ``gru_cell`` is one GRU step over a batch of rows as a single primitive
+  with a hand-derived backward, bit-identical to the same step spelled out
+  in primitives, so a recurrent step costs one tape entry however many sets
+  it advances. ``take_rows`` gathers rows by index and ``stack_rows``
+  concatenates row blocks, which is all a packed recurrence needs.
 * ``finite_diff_grad`` is the independent gradient oracle; it never touches
   the tape machinery.
 """
@@ -37,6 +39,7 @@ rest of the package leans on:
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -500,51 +503,59 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     return _record(out, (a,), bwd)
 
 
-def take_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    """Rows ``start:stop`` of an [N,F] matrix as a [stop-start, F] tensor."""
+def take_rows(a: Tensor, rows: Sequence[int]) -> Tensor:
+    """The given distinct rows of an [N,F] matrix, in the given order, as a
+    [len(rows), F] tensor. A ``range`` with step 1 is taken as a slice."""
     if a.data.ndim != 2:
         raise ShapeError(f"take_rows needs a rank-2 tensor, got {list(a.shape)}")
-    if not 0 <= start < stop <= a.shape[0]:
-        raise ShapeError(f"rows {start}:{stop} out of range for {list(a.shape)}")
-    out = Tensor(a.data[start:stop].copy())
+    if isinstance(rows, range) and rows.step == 1:
+        if not 0 <= rows.start < rows.stop <= a.shape[0]:
+            raise ShapeError(f"rows {rows.start}:{rows.stop} out of range for {list(a.shape)}")
+        sel = slice(rows.start, rows.stop)
+        data = a.data[sel].copy()
+    else:
+        sel = np.asarray(rows, dtype=np.intp)
+        distinct = np.unique(sel)
+        if sel.ndim != 1 or sel.size == 0 or distinct[0] < 0 or distinct[-1] >= a.shape[0]:
+            raise ShapeError(f"rows {sel.tolist()} out of range for {list(a.shape)}")
+        if distinct.size != sel.size:  # a repeated row's gradient pieces would collide
+            raise ContractError(f"take_rows needs distinct rows, got {sel.tolist()}")
+        data = a.data[sel]
+    out = Tensor(data)
 
     def bwd(g, need):
         full = np.zeros_like(a.data)
-        full[start:stop] = g
+        full[sel] = g
         return (full,)
 
     return _record(out, (a,), bwd)
 
 
 def stack_rows(tensors: Iterable[Tensor]) -> Tensor:
-    """Stack rank-1 or [1,F] tensors into an [N,F] matrix."""
+    """Stack rank-1 rows and [b,F] blocks, in order, into an [N,F] matrix."""
     ts = list(tensors)
     if not ts:
         raise ContractError("stack_rows needs at least one tensor")
-    rows = [t.data.reshape(1, -1) for t in ts]
-    width = rows[0].shape[1]
-    if any(r.shape[1] != width for r in rows):
+    if any(t.data.ndim not in (1, 2) for t in ts):
+        raise ShapeError("stack_rows needs rank-1 rows or rank-2 blocks")
+    blocks = [t.data.reshape(1, -1) if t.data.ndim == 1 else t.data for t in ts]
+    width = blocks[0].shape[1]
+    if any(b.shape[1] != width for b in blocks):
         raise ShapeError("stack_rows needs equal row widths")
-    out = Tensor(np.vstack(rows))
+    out = Tensor(np.vstack(blocks))
+    ends = list(accumulate(b.shape[0] for b in blocks))
 
     def bwd(g, need):
-        return tuple(g[i].reshape(ts[i].shape) if need[i] else None for i in range(len(ts)))
+        return tuple(g[end - b.shape[0] : end].reshape(t.shape) if n else None
+                     for t, b, end, n in zip(ts, blocks, ends, need))
 
     return _record(out, ts, bwd)
 
 
-def _outer(col: np.ndarray, g: np.ndarray) -> np.ndarray:
-    # col.T @ g for one row, as a broadcast product: half the cost of the
-    # K=1 GEMM. The GEMM accumulates onto +0.0, so adding +0.0 gives a zero
-    # product the same sign and keeps the result bit-identical to it.
-    out = np.multiply(col.T, g)
-    out += 0.0
-    return out
-
-
 def gru_cell(x: Tensor, h: Tensor, Wz: Tensor, Uz: Tensor, bz: Tensor, Wr: Tensor,
              Ur: Tensor, br: Tensor, Wh: Tensor, Uh: Tensor, bh: Tensor) -> Tensor:
-    """One GRU step on a [1,D] input row and [1,H] state, as one tape entry:
+    """One GRU step on B rows at once, [B,D] inputs and [B,H] states, as one
+    tape entry:
 
         z = sigmoid(x Wz + h Uz + bz)        r = sigmoid(x Wr + h Ur + br)
         c = tanh(x Wh + (r * h) Uh + bh)     h' = (1 - z) * h + z * c
@@ -552,10 +563,11 @@ def gru_cell(x: Tensor, h: Tensor, Wz: Tensor, Uz: Tensor, bz: Tensor, Wr: Tenso
     with tanh(a) = 2 sigmoid(2a) - 1. Forward and backward run the same
     numpy operations in the same order as the chain of primitives that
     spells this out (each gradient's pieces summed in that chain's reverse
-    order), so results are bit-identical to it.
+    order; a weight's piece is ``matmul``'s ``rows.T @ g`` over the B rows),
+    so results are bit-identical to it.
     """
-    if x.data.ndim != 2 or h.data.ndim != 2 or x.shape[0] != 1 or h.shape[0] != 1:
-        raise ShapeError(f"gru_cell needs [1,D] and [1,H] rows, got {list(x.shape)}, {list(h.shape)}")
+    if x.data.ndim != 2 or h.data.ndim != 2 or x.shape[0] != h.shape[0]:
+        raise ShapeError(f"gru_cell needs [B,D] and [B,H] rows, got {list(x.shape)}, {list(h.shape)}")
     width = h.shape[1]
     for w, rows in ((Wz, x.shape[1]), (Uz, width), (bz, 1), (Wr, x.shape[1]), (Ur, width),
                     (br, 1), (Wh, x.shape[1]), (Uh, width), (bh, 1)):
@@ -611,14 +623,14 @@ def gru_cell(x: Tensor, h: Tensor, Wz: Tensor, Uz: Tensor, bz: Tensor, Wr: Tenso
             gx += g_ar @ Wr.data.T
             gx += g_az @ Wz.data.T
         return (gx, gh,
-                _outer(xd, g_az) if nWz else None,
-                _outer(hd, g_az) if nUz else None,
+                xd.T @ g_az if nWz else None,
+                hd.T @ g_az if nUz else None,
                 g_az.sum(axis=0, keepdims=True) if nbz else None,
-                _outer(xd, g_ar) if nWr else None,
-                _outer(hd, g_ar) if nUr else None,
+                xd.T @ g_ar if nWr else None,
+                hd.T @ g_ar if nUr else None,
                 g_ar.sum(axis=0, keepdims=True) if nbr else None,
-                _outer(xd, g_ah) if nWh else None,
-                _outer(rh, g_ah) if nUh else None,
+                xd.T @ g_ah if nWh else None,
+                rh.T @ g_ah if nUh else None,
                 g_ah.sum(axis=0, keepdims=True) if nbh else None)
 
     return _record(out, (x, h, Wz, Uz, bz, Wr, Ur, br, Wh, Uh, bh), bwd)

@@ -28,10 +28,15 @@ stand-in for aggregators without a separable attention module;
 parameter.
 
 The encoder is shared and applied to each view independently, so a step
-encodes all of its views in one ``encode_batch`` call and hands each set
-its rows with ``take_rows``; the encoder's weight gradient is then one
-product over the step's rows. ``predict`` still encodes one view at a
-time, which is what its bit-exact permutation invariance rests on.
+encodes all of its views in one ``encode_batch`` call; the encoder's
+weight gradient is then one product over the step's rows. The step then
+aggregates all of its sets in one ``aggregate`` call on a ``SetBatch``
+(see ``aggregators.aggregate``: the GRU runs the sets as one packed batch,
+every other kind runs its one-set kernel per set) and decodes the fused
+rows, which come back in set order, in one ``decode_batch`` call. These
+three module attributes are what a step calls, once each. ``predict``
+still encodes one view at a time, which is what its bit-exact permutation
+invariance rests on.
 
 Stage 1 and ``joint_train`` under a fixed(1) regime build byte-for-byte
 identical computation graphs, so their base trajectories coincide exactly;
@@ -52,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .aggregators import FeatureSet, aggregate
+from .aggregators import SetBatch, aggregate
 from .errors import ContractError, NumericOverflowError
 from .model import ParamBundle, _agg_params, decode_batch, encode_batch
 from .tensor import Tensor
@@ -232,18 +237,11 @@ def optimizer_step(params: ParamBundle, group: str, lr: float, state: OptimizerS
 
 def _set_loss(params: ParamBundle, sets) -> Tensor:
     """Forward one step's worth of sets: encode every view of the step in
-    one batch, hand each set its rows, aggregate, decode all fused latents
-    as one batch, mean BCE against the targets."""
-    agg = _agg_params(params)
+    one batch, aggregate all the sets in one call, decode the fused rows as
+    one batch, mean BCE against the targets."""
     latents = encode_batch(Tensor(np.vstack([views for views, _ in sets])), params)
-    fused_rows = []
-    start = 0
-    for views, _ in sets:
-        stop = start + len(views)
-        y, _ = aggregate(FeatureSet(T.take_rows(latents, start, stop)), agg)
-        fused_rows.append(y)
-        start = stop
-    probs = decode_batch(T.stack_rows(fused_rows), params)
+    fused, _ = aggregate(SetBatch(latents, [len(views) for views, _ in sets]), _agg_params(params))
+    probs = decode_batch(fused, params)
     return T.bce_loss(probs, Tensor(np.stack([target for _, target in sets])))
 
 

@@ -203,6 +203,60 @@ def test_gru_width_mismatch():
         ag.gru_aggregate(fset(np.zeros((2, 5))), ag.aggregator_init("gru", 4))
 
 
+def _packed_and_alone(params, x, lengths, rvec):
+    """Fused rows and gradients of one packed aggregate over the sets stored
+    back to back in ``x``, and the same from aggregating each set alone."""
+    out = []
+    for packed in (True, False):
+        rows = Tensor(x, requires_grad=True)
+        with T.Tape() as tape:
+            if packed:
+                fused, _ = ag.aggregate(ag.SetBatch(rows, lengths), params)
+            else:
+                stops = np.cumsum(lengths)
+                fused = T.stack_rows([ag.aggregate(ag.FeatureSet(T.take_rows(rows, range(stop - n, stop))),
+                                                   params)[0] for n, stop in zip(lengths, stops)])
+            tape.backward(T.reduce_sum(T.reduce_sum(T.ew_binary("mul", fused, Tensor(rvec)), 1), 0))
+        grads = {"x": rows.grad, **{k: w.grad for k, w in params.weights.items()}}
+        for w in params.weights.values():
+            w.grad = None
+        out.append((fused.data, grads))
+    return out
+
+
+def test_gru_packed_batch_matches_each_set_alone():
+    rng = np.random.default_rng(41)
+    lengths = [1, 3, 3, 8, 2]  # a tie, and sets ending at four different steps
+    params = ag.aggregator_init("gru", 6, seed=3)
+    x, rvec = rng.standard_normal((sum(lengths), 6)), rng.standard_normal((5, 6))
+    (fused, grads), (want, want_grads) = _packed_and_alone(params, x, lengths, rvec)
+    assert fused.shape == want.shape == (5, 6)
+    assert np.abs(fused - want).max() <= 1e-12
+    assert grads.keys() == want_grads.keys()
+    for name in grads:
+        assert np.abs(grads[name] - want_grads[name]).max() <= 1e-12, name
+
+
+def test_gru_packed_batch_of_one_set_is_bit_identical():
+    rng = np.random.default_rng(42)
+    params = ag.aggregator_init("gru", 5, seed=4)
+    x, rvec = rng.standard_normal((7, 5)), rng.standard_normal((1, 5))
+    (fused, grads), (want, want_grads) = _packed_and_alone(params, x, [7], rvec)
+    assert fused.tobytes() == want.tobytes()
+    assert fused[0].tobytes() == ag.gru_aggregate(fset(x), params).data.tobytes()
+    for name in grads:
+        assert grads[name].tobytes() == want_grads[name].tobytes(), name
+
+
+def test_set_batch_rejects_bad_lengths():
+    rows = Tensor(np.zeros((4, 3)))
+    for lengths in ([], [2, 0, 2], [3, 2]):
+        with pytest.raises((ContractError, ShapeError)):
+            ag.SetBatch(rows, lengths)
+    with pytest.raises(ShapeError):
+        ag.SetBatch(Tensor(np.zeros((4, 1, 3))), [4])
+
+
 # -------------------------------------------------------- aggregator_init
 
 def test_init_zero_attention_equals_mean_bit_exact():
@@ -343,7 +397,7 @@ def test_aggregate_dispatch_shapes():
         params = ag.aggregator_init(kind, 5, seed=1)
         y, attn = ag.aggregate(fset(x), params)
         assert y.data.shape == (5,)
-        if kind in ag.ATTENTION_KINDS:
-            assert attn is not None
-        else:
-            assert attn is None
+        assert (attn is not None) == (kind in ag.ATTENTION_KINDS)
+        rows, maps = ag.aggregate(ag.SetBatch(Tensor(np.vstack([x, x[:2]])), [3, 2]), params)
+        assert rows.data.shape == (2, 5)
+        assert (maps is not None and len(maps) == 2) == (kind in ag.ATTENTION_KINDS)

@@ -304,6 +304,13 @@ def test_bench_rejects_thin_sampling(tmp_path):
                "--set", "bench.repeats=5") == 1
 
 
+@pytest.mark.parametrize("grid", ["[]", "[0]", "[4,2]"])
+def test_bench_rejects_a_bad_grid(tmp_path, capsys, grid):
+    assert run("bench", "--out", str(tmp_path), "--set", f"bench.n_grid={grid}") == 1
+    assert "n_grid" in capsys.readouterr().err
+    assert not (tmp_path / "bench.json").exists()
+
+
 # ---------------------------------------------------------------- selftest
 
 def test_selftest_passes_and_lists_checks(capsys):

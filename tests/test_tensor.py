@@ -419,10 +419,10 @@ def _random_graph(rng, leaves, weight, steps=12):
         elif op == 4:
             z = T.softmax_set(x)
         elif op == 5:
-            z = T.stack_rows([T.take_rows(x, int(i), int(i) + 1) for i in rng.permutation(n)])
+            z = T.stack_rows([T.take_rows(x, [int(i)]) for i in rng.permutation(n)])
         elif op == 6:
             i = int(rng.integers(n))
-            z = T.add_rowvec(T.sigmoid(x), T.take_rows(y, i, i + 1))
+            z = T.add_rowvec(T.sigmoid(x), T.take_rows(y, [i]))
         elif op == 7:
             z = T.reshape(T.reshape(x, [x.size]), x.shape) + T.set_sum(T.reshape(y, [y.size])) * 0.01
         else:
@@ -580,20 +580,24 @@ def test_gradcheck_take_rows():
         stop = int(rng.integers(start + 1, n + 1))
         w = scalarize(rng.standard_normal((stop - start) * d))
         wrow = scalarize(rng.standard_normal(d))
-        # overlapping ranges of one input: their pieces accumulate
-        check_grad(lambda t: w(T.take_rows(t, start, stop)) + wrow(T.take_rows(t, start, start + 1)),
-                   T.Tensor(rng.standard_normal((n, d))))
+        rows = rng.permutation(n)[: stop - start]
+        # overlapping takes of one input, one of them out of order: their pieces accumulate
+        check_grad(lambda t: w(T.take_rows(t, range(start, stop))) + wrow(T.take_rows(t, [start]))
+                   + w(T.take_rows(t, rows)), T.Tensor(rng.standard_normal((n, d))))
 
 
 def test_take_rows_records_nothing_without_a_trainable_input():
     x = T.Tensor(np.arange(12.0).reshape(4, 3))
     with T.Tape() as tape:
-        rows = T.take_rows(x, 1, 3)
+        rows = T.take_rows(x, range(1, 3))
     assert tape.entries == [] and not tape.needs(rows)
     assert np.array_equal(rows.data, x.data[1:3])
-    for start, stop in ((2, 2), (3, 5), (-1, 2)):
+    assert np.array_equal(T.take_rows(x, [3, 0]).data, x.data[[3, 0]])
+    for bad in (range(2, 2), range(3, 5), [-1, 0], [[0, 1]]):
         with pytest.raises(ShapeError):
-            T.take_rows(x, start, stop)
+            T.take_rows(x, bad)
+    with pytest.raises(ContractError):  # a repeated row's gradient pieces would collide
+        T.take_rows(x, [1, 2, 1])
 
 
 def test_gradcheck_bce():
@@ -609,6 +613,11 @@ def test_gradcheck_stack_rows():
     a = T.Tensor(rng.standard_normal((1, 4)))
     w = scalarize(rng.standard_normal(8))
     check_grad(lambda t: w(T.stack_rows([t, a])), T.Tensor(rng.standard_normal((1, 4))))
+    # rank-1 rows and [b,F] blocks, one input stacked twice
+    row, w = T.Tensor(rng.standard_normal(4)), scalarize(rng.standard_normal(32))
+    check_grad(lambda t: w(T.stack_rows([t, row, a, t])), T.Tensor(rng.standard_normal((3, 4))))
+    with pytest.raises(ShapeError):
+        T.stack_rows([a, T.Tensor(np.zeros((2, 3)))])
 
 
 # ------------------------------------------------------------- determinism
@@ -650,28 +659,30 @@ def _gru_chain(x, h, Wz, Uz, bz, Wr, Ur, br, Wh, Uh, bh):
     return (1.0 - z) * h + z * cand
 
 
-def _gru_inputs(rng, dx=5, width=4, steps=3):
-    xs = rng.standard_normal((steps, dx))
+def _gru_inputs(rng, dx=5, width=4, steps=3, rows=1):
+    """``steps`` blocks of ``rows`` input rows, stacked, and [rows, width]
+    initial states and readout weights."""
+    xs = rng.standard_normal((steps * rows, dx))
     xs[rng.random(xs.shape) < 0.3] = 0.0
     xs[:, 0] = 0.0  # a dead feature: its weight rows' gradients are sums of signed zeros
     ws = {}
     for name in GRU_ARGS[2:]:
-        rows = 1 if name.startswith("b") else dx if name.startswith("W") else width
-        ws[name] = rng.standard_normal((rows, width)) * 0.7
-    return xs, rng.standard_normal((1, width)), ws, rng.standard_normal((1, width))
+        fan_in = 1 if name.startswith("b") else dx if name.startswith("W") else width
+        ws[name] = rng.standard_normal((fan_in, width)) * 0.7
+    return xs, rng.standard_normal((rows, width)), ws, rng.standard_normal((rows, width))
 
 
 def _run_gru(step, xs, h0, ws, rvec, trained):
-    """Several steps of ``step`` over the rows of ``xs``; returns the output
-    and the gradient of every trained leaf, with the tape's entry count."""
+    """Several steps of ``step`` over the row blocks of ``xs``; returns the
+    output and the gradient of every trained leaf, with the tape's entry count."""
     x = T.Tensor(xs, requires_grad="x" in trained)
     h = T.Tensor(h0, requires_grad="h" in trained)
     w = {k: T.Tensor(v, requires_grad=k in trained) for k, v in ws.items()}
     leaves = {"x": x, "h": h, **w}
     with T.Tape() as tape:
-        out = h
-        for i in range(xs.shape[0]):
-            out = step(T.take_rows(x, i, i + 1), out, *(w[k] for k in GRU_ARGS[2:]))
+        out, b = h, h0.shape[0]
+        for i in range(0, xs.shape[0], b):
+            out = step(T.take_rows(x, range(i, i + b)), out, *(w[k] for k in GRU_ARGS[2:]))
         tape.backward(T.reduce_sum(T.reduce_sum(T.ew_binary("mul", out, T.Tensor(rvec)), 1), 0))
     return out.data, {k: t.grad for k, t in leaves.items() if k in trained}, len(tape.entries)
 
@@ -683,23 +694,24 @@ def _run_gru(step, xs, h0, ws, rvec, trained):
     ("h", "Uh", "bz"),  # a trained initial state and a mix of weights
 ])
 def test_gru_cell_matches_primitive_chain_bit_for_bit(trained):
-    xs, h0, ws, rvec = _gru_inputs(np.random.default_rng(300))
-    if "h" not in trained:
-        h0 = np.zeros_like(h0)  # the state gru_aggregate starts from
-    out, grads, entries = _run_gru(T.gru_cell, xs, h0, ws, rvec, trained)
-    ref_out, ref_grads, ref_entries = _run_gru(_gru_chain, xs, h0, ws, rvec, trained)
-    assert out.tobytes() == ref_out.tobytes()
-    assert grads.keys() == ref_grads.keys() == set(trained)
-    for name in trained:
-        assert grads[name].tobytes() == ref_grads[name].tobytes(), name
-    steps = xs.shape[0] * (2 if "x" in trained else 1)  # cells, plus take_rows when x trains
-    assert entries == steps + 3 < ref_entries
+    for rows in (1, 3):  # one set's row, and a packed batch of three sets
+        xs, h0, ws, rvec = _gru_inputs(np.random.default_rng(300), rows=rows)
+        if "h" not in trained:
+            h0 = np.zeros_like(h0)  # the state gru_aggregate starts from
+        out, grads, entries = _run_gru(T.gru_cell, xs, h0, ws, rvec, trained)
+        ref_out, ref_grads, ref_entries = _run_gru(_gru_chain, xs, h0, ws, rvec, trained)
+        assert out.tobytes() == ref_out.tobytes()
+        assert grads.keys() == ref_grads.keys() == set(trained)
+        for name in trained:
+            assert grads[name].tobytes() == ref_grads[name].tobytes(), (rows, name)
+        steps = 3 * (2 if "x" in trained else 1)  # cells, plus take_rows when x trains
+        assert entries == steps + 3 < ref_entries
 
 
 @pytest.mark.parametrize("arg", GRU_ARGS)
 def test_gradcheck_gru_cell(arg):
     rng = np.random.default_rng(301)
-    xs, h0, ws, rvec = _gru_inputs(rng, steps=1)
+    xs, h0, ws, rvec = _gru_inputs(rng, steps=1, rows=2)
     values = {"x": xs, "h": h0, **ws}
     k = GRU_ARGS.index(arg)
     args = [T.Tensor(values[name]) for name in GRU_ARGS]

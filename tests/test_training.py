@@ -8,7 +8,7 @@ from setfusion import data as D
 from setfusion import model as M
 from setfusion import tensor as T
 from setfusion import training as TR
-from setfusion.aggregators import FeatureSet, aggregate
+from setfusion.aggregators import AGGREGATOR_KINDS, FeatureSet, aggregate
 from setfusion.errors import ContractError, NumericOverflowError
 from setfusion.model import _agg_params
 from setfusion.tensor import Tensor
@@ -203,7 +203,8 @@ def test_stage_restores_requires_grad_after_overflow(tiny_dataset):
     assert all(t.requires_grad for _, _, t in params.named("all"))
 
 
-def test_stage2_tape_is_shorter_than_joint(tiny_dataset, monkeypatch):
+def _count_tape_entries(monkeypatch) -> list:
+    """A list that gets the tape's entry count at every backward."""
     entries = []
     backward = T.Tape.backward
 
@@ -212,6 +213,11 @@ def test_stage2_tape_is_shorter_than_joint(tiny_dataset, monkeypatch):
         return backward(tape, loss)
 
     monkeypatch.setattr(T.Tape, "backward", counting_backward)
+    return entries
+
+
+def test_stage2_tape_is_shorter_than_joint(tiny_dataset, monkeypatch):
+    entries = _count_tape_entries(monkeypatch)
     cfg = tiny_train_cfg(stage1_steps=1, stage2_steps=1)
     TR.faset_stage2(tiny_model(), tiny_dataset, cfg)
     TR.joint_train(tiny_model(), tiny_dataset, replace(cfg, stage2_steps=0))
@@ -239,6 +245,73 @@ def test_set_loss_encodes_every_view_of_a_step_in_one_batch(tiny_dataset, monkey
     want = T.bce_loss(M.decode_batch(T.stack_rows(fused), params),
                       Tensor(np.stack([target for _, target in batch])))
     assert abs(loss.item() - want.item()) < 1e-12
+
+
+@pytest.mark.parametrize("kind", [k for k in AGGREGATOR_KINDS if k != "gru"])
+def test_set_loss_matches_the_per_set_loop_bit_for_bit(tiny_dataset, kind):
+    params = tiny_model(kind, seed=3)
+    rng = np.random.default_rng(12)
+    for t in params.att.values():  # away from zero, where attention is mean pooling
+        t.data[:] = rng.standard_normal(t.shape)
+    batch = TR.sample_minibatch(tiny_dataset, tiny_train_cfg(n_mode="uniform:1:5", batch_size=6), 1)
+    agg = _agg_params(params)
+
+    def per_set_loop():
+        latents = M.encode_batch(Tensor(np.vstack([views for views, _ in batch])), params)
+        fused, start = [], 0
+        for views, _ in batch:
+            rows = T.take_rows(latents, range(start, start + len(views)))
+            fused.append(aggregate(FeatureSet(rows), agg)[0])
+            start += len(views)
+        probs = M.decode_batch(T.stack_rows(fused), params)
+        return T.bce_loss(probs, Tensor(np.stack([target for _, target in batch])))
+
+    results = []
+    for loss_of in (lambda: TR._set_loss(params, batch), per_set_loop):
+        params.zero_grads()
+        with T.Tape() as tape:
+            loss = loss_of()
+            tape.backward(loss)
+        results.append((loss.item().hex(), {n: t.grad.tobytes() for n, _, t in params.named()}))
+    assert results[0] == results[1]
+
+
+def test_gru_stage2_tape_grows_with_the_longest_set_not_the_batch(tiny_dataset, monkeypatch):
+    entries = _count_tape_entries(monkeypatch)
+    cfg = tiny_train_cfg(stage2_steps=4, n_mode="uniform:1:8", batch_size=16)
+    TR.faset_stage2(tiny_model("gru"), tiny_dataset, cfg)
+    assert len(entries) == 4
+    # per step: a cell per time step, a state slice per set length, the
+    # final gather, the decoder and the loss; the encoder is frozen
+    assert max(entries) <= 2 * 8 + 10
+
+
+@pytest.mark.parametrize("kind", ["attsets_fc", "gru"])
+def test_each_traced_name_is_called_once_per_step_and_predict(tiny_dataset, monkeypatch, kind):
+    """The benchmark's tracer times layers by wrapping these module
+    attributes; a step that stopped calling them would leave its spans empty."""
+    calls = {}
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+        key = f"{owner.__name__.rsplit('.', 1)[1]}.{name}"
+
+        def counted(*args, **kwargs):
+            calls[key] = calls.get(key, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner in (TR, M):
+        for name in ("encode_batch", "aggregate", "decode_batch"):
+            count(owner, name)
+    params = tiny_model(kind)
+    TR.joint_train(params, tiny_dataset, tiny_train_cfg(stage1_steps=1, stage2_steps=0,
+                                                        n_mode="uniform:2:5"))
+    assert calls == {"training.encode_batch": 1, "training.aggregate": 1, "training.decode_batch": 1}
+    calls.clear()
+    M.predict(list(tiny_dataset[0].views[:3]), params)
+    assert calls == {"model.encode_batch": 3, "model.aggregate": 1, "model.decode_batch": 1}
 
 
 def test_stage2_improves_multiview_training_loss(tiny_dataset):
