@@ -253,8 +253,7 @@ def _gru_packed(x: Tensor, lengths: tuple[int, ...], w: dict[str, Tensor]) -> Te
     lens = [lengths[j] for j in order]
     first = list(accumulate(lengths, initial=0))  # each set's first row in x
     packed = [first[j] + i for i in range(lens[0]) for j in order if lengths[j] > i]
-    if packed != list(range(len(packed))):
-        x = T.take_rows(x, packed)
+    x = T.take_rows(x, packed)
     h = Tensor(np.zeros((len(lens), w["Uz"].shape[0])))
     blocks: list[Tensor] = []
     final = [0] * len(lens)  # each set's row in the kept blocks
@@ -274,8 +273,7 @@ def _gru_packed(x: Tensor, lengths: tuple[int, ...], w: dict[str, Tensor]) -> Te
         h = T.gru_cell(T.take_rows(x, range(row, row + running)), h, w["Wz"], w["Uz"], w["bz"],
                        w["Wr"], w["Ur"], w["br"], w["Wh"], w["Uh"], w["bh"])
         row += running
-    out = blocks[0] if len(blocks) == 1 else T.stack_rows(blocks)
-    return out if final == list(range(len(final))) else T.take_rows(out, final)
+    return T.take_rows(T.stack_rows(blocks), final)
 
 
 def gru_aggregate(fset: FeatureSet, params: AggregatorParams) -> Tensor:
@@ -294,13 +292,12 @@ def gru_aggregate(fset: FeatureSet, params: AggregatorParams) -> Tensor:
 
 
 def aggregate(sets: FeatureSet | SetBatch, params: AggregatorParams
-              ) -> tuple[Tensor, AttentionMap | list[AttentionMap] | None]:
+              ) -> tuple[Tensor, AttentionMap | None]:
     """Dispatch on ``params.kind``.
 
     On one ``FeatureSet`` returns (fused features, attention map), the map
     None for poolings and the GRU. On a ``SetBatch`` of M sets returns
-    ([M, out] fused rows in set order, the M attention maps or None): the
-    GRU runs the sets as one packed batch (see ``_gru_packed``), and every
+    ([M, out] fused rows in set order, None): the GRU runs the sets as one packed batch (see ``_gru_packed``), and every
     other kind runs its one-set kernel on each set's rows in turn, so its
     results are bit-identical to aggregating the sets one at a time.
     """
@@ -312,14 +309,12 @@ def aggregate(sets: FeatureSet | SetBatch, params: AggregatorParams
 def _aggregate_batch(batch: SetBatch, params: AggregatorParams):
     if params.kind == "gru":
         return _gru_packed(batch.data, batch.lengths, params.weights), None
-    fused, maps = [], []
+    fused = []
     start = 0
     for n in batch.lengths:
-        y, attn = _aggregate_one(FeatureSet(T.take_rows(batch.data, range(start, start + n))), params)
-        fused.append(y)
-        maps.append(attn)
+        fused.append(_aggregate_one(FeatureSet(T.take_rows(batch.data, range(start, start + n))), params)[0])
         start += n
-    return T.stack_rows(fused), (maps if params.kind in ATTENTION_KINDS else None)
+    return T.stack_rows(fused), None
 
 
 def _aggregate_one(fset: FeatureSet, params: AggregatorParams) -> tuple[Tensor, AttentionMap | None]:

@@ -505,23 +505,16 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
 
 def take_rows(a: Tensor, rows: Sequence[int]) -> Tensor:
     """The given distinct rows of an [N,F] matrix, in the given order, as a
-    [len(rows), F] tensor. A ``range`` with step 1 is taken as a slice."""
+    [len(rows), F] tensor."""
     if a.data.ndim != 2:
         raise ShapeError(f"take_rows needs a rank-2 tensor, got {list(a.shape)}")
-    if isinstance(rows, range) and rows.step == 1:
-        if not 0 <= rows.start < rows.stop <= a.shape[0]:
-            raise ShapeError(f"rows {rows.start}:{rows.stop} out of range for {list(a.shape)}")
-        sel = slice(rows.start, rows.stop)
-        data = a.data[sel].copy()
-    else:
-        sel = np.asarray(rows, dtype=np.intp)
-        distinct = np.unique(sel)
-        if sel.ndim != 1 or sel.size == 0 or distinct[0] < 0 or distinct[-1] >= a.shape[0]:
-            raise ShapeError(f"rows {sel.tolist()} out of range for {list(a.shape)}")
-        if distinct.size != sel.size:  # a repeated row's gradient pieces would collide
-            raise ContractError(f"take_rows needs distinct rows, got {sel.tolist()}")
-        data = a.data[sel]
-    out = Tensor(data)
+    sel = np.asarray(rows, dtype=np.intp)
+    distinct = np.unique(sel)
+    if sel.ndim != 1 or sel.size == 0 or distinct[0] < 0 or distinct[-1] >= a.shape[0]:
+        raise ShapeError(f"rows {sel.tolist()} out of range for {list(a.shape)}")
+    if distinct.size != sel.size:  # a repeated row's gradient pieces would collide
+        raise ContractError(f"take_rows needs distinct rows, got {sel.tolist()}")
+    out = Tensor(a.data[sel])
 
     def bwd(g, need):
         full = np.zeros_like(a.data)

@@ -398,6 +398,6 @@ def test_aggregate_dispatch_shapes():
         y, attn = ag.aggregate(fset(x), params)
         assert y.data.shape == (5,)
         assert (attn is not None) == (kind in ag.ATTENTION_KINDS)
-        rows, maps = ag.aggregate(ag.SetBatch(Tensor(np.vstack([x, x[:2]])), [3, 2]), params)
+        rows, attn = ag.aggregate(ag.SetBatch(Tensor(np.vstack([x, x[:2]])), [3, 2]), params)
         assert rows.data.shape == (2, 5)
-        assert (maps is not None and len(maps) == 2) == (kind in ag.ATTENTION_KINDS)
+        assert attn is None

@@ -708,10 +708,11 @@ def test_gru_cell_matches_primitive_chain_bit_for_bit(trained):
         assert entries == steps + 3 < ref_entries
 
 
-@pytest.mark.parametrize("arg", GRU_ARGS)
-def test_gradcheck_gru_cell(arg):
+@pytest.mark.parametrize("arg, rows", [pytest.param(a, 1, id=a) for a in GRU_ARGS]
+                         + [pytest.param(a, 2, id=f"{a}-rows2") for a in GRU_ARGS])
+def test_gradcheck_gru_cell(arg, rows):
     rng = np.random.default_rng(301)
-    xs, h0, ws, rvec = _gru_inputs(rng, steps=1, rows=2)
+    xs, h0, ws, rvec = _gru_inputs(rng, steps=1, rows=rows)
     values = {"x": xs, "h": h0, **ws}
     k = GRU_ARGS.index(arg)
     args = [T.Tensor(values[name]) for name in GRU_ARGS]
