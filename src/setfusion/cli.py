@@ -130,6 +130,7 @@ def cmd_eval(args) -> int:
     from .model import load_checkpoint
 
     cfg, out_dir = _resolve(args)
+    cfg.eval.validate()  # before the split and the checkpoint are read
     testset, _ = _load_split(cfg, "test")
     ck = cfg.paths["checkpoint"] or str(out_dir / "stage2.sfck")
     if not Path(ck).exists():

@@ -14,6 +14,15 @@ which can only occur at extreme thresholds.
 Which views feed a sample during evaluation depends only on
 (seed, sample_id, N) -- never on the method under test -- so different
 aggregators always see identical inputs.
+
+Evaluation runs one batched forward per view count N: every sample's N
+picked views are encoded in one ``encode_batch`` call, the sets are fused
+in one ``aggregate`` call on a ``SetBatch`` and decoded in one
+``decode_batch`` call, with ``predict``'s checks and typed errors. Its
+probabilities equal ``predict``'s to rounding (a batched product may sum
+in another order) but are not bit-identical to them; the bitwise
+contracts, permutation invariance among them, belong to ``predict``,
+which still encodes one view at a time.
 """
 
 from __future__ import annotations
@@ -23,7 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import model
+from .aggregators import SetBatch
 from .errors import ContractError, ShapeError
+from .tensor import Tensor
 
 __all__ = [
     "EvalConfig",
@@ -51,8 +63,12 @@ class EvalConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if any(n < 1 for n in self.view_counts):
-            raise ContractError("view counts must be >= 1")
+        counts = tuple(self.view_counts)
+        if not counts:
+            raise ContractError("eval.view_counts needs at least one view count")
+        if len(set(counts)) != len(counts):
+            raise ContractError(f"eval.view_counts {counts} repeats a view count")
+        _check_counts(counts)
 
 
 def _probs_of(pred) -> np.ndarray:
@@ -123,16 +139,27 @@ def choose_views(seed: int, sample_id: int, n: int, available: int) -> np.ndarra
     return np.sort(rng.choice(available, size=n, replace=False))
 
 
-def _predicted_probs(params, testset, cfg: EvalConfig, n: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    from .model import predict
+def _check_counts(counts, stored: int | None = None) -> None:
+    """Every view count is >= 1 and, given ``stored``, at most the views
+    stored per test sample."""
+    if any(n < 1 for n in counts):
+        raise ContractError("view counts must be >= 1")
+    if stored is not None and any(n > stored for n in counts):
+        raise ContractError(f"view counts {counts} exceed the {stored} stored views")
 
-    out = []
-    for sample in testset:
-        k = sample.views.shape[0]
-        picked = choose_views(cfg.seed, sample.sample_id, n, k)
-        grid, _ = predict([sample.views[i] for i in picked], params)
-        out.append((sample.sample_id, grid.probs.data, sample.gt))
-    return out
+
+def _predicted_probs(params, testset, cfg: EvalConfig, n: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """(sample id, [G^3] probabilities, ground truth) of every test sample
+    from its ``choose_views`` pick of ``n`` views: one batched forward, with
+    the checks and the layers ``predict`` uses."""
+    rows = []
+    for s in testset:
+        rows += model._view_rows(s.views[choose_views(cfg.seed, s.sample_id, n, s.views.shape[0])],
+                                 params)
+    latents = model.encode_batch(Tensor(np.vstack([row.data for row in rows])), params)
+    fused, _ = model.aggregate(SetBatch(latents, [n] * len(testset)), model._agg_params(params))
+    probs = model.decode_batch(fused, params)
+    return [(s.sample_id, p, s.gt) for s, p in zip(testset, probs.data)]
 
 
 def threshold_search(params, testset, cfg: EvalConfig, n: int) -> tuple[float, float]:
@@ -141,6 +168,7 @@ def threshold_search(params, testset, cfg: EvalConfig, n: int) -> tuple[float, f
     testset = list(testset)
     if not testset:
         raise ContractError("threshold search needs a non-empty test set")
+    _check_counts((n,), testset[0].views.shape[0])
     preds = _predicted_probs(params, testset, cfg, n)
     return best_threshold([(probs, gt) for _, probs, gt in preds])
 
@@ -186,9 +214,7 @@ def eval_sweep(params, testset, cfg: EvalConfig, method: str | None = None) -> E
     testset = list(testset)
     if not testset:
         raise ContractError("evaluation needs a non-empty test set")
-    k = testset[0].views.shape[0]
-    if any(n > k for n in cfg.view_counts):
-        raise ContractError(f"view counts {cfg.view_counts} exceed the {k} stored views")
+    _check_counts(cfg.view_counts, testset[0].views.shape[0])
     if method is None:
         method = params.cfg.aggregator_kind if params.cfg else "unknown"
     rows, per_sample = [], {}

@@ -17,7 +17,8 @@ wherever the view sits in the input order), aggregates them as one
 ``FeatureSet`` in one ``aggregate`` call, and is pure over an immutable
 bundle, so reordering input views cannot change the output of any
 permutation-invariant aggregator, bit for bit. Training aggregates a whole
-step's sets in one packed call instead (see ``training``); for one set the
+step's sets in one packed call instead (see ``training``), and so does
+evaluation, one call per view count (see ``metrics``); for one set the
 GRU's packed routine has the bits of the plain recurrence, so ``predict``'s
 output does not depend on that batching.
 """
@@ -194,6 +195,21 @@ def _flat_view(image, side: int) -> Tensor:
     return Tensor(arr.reshape(1, side * side))
 
 
+def _view_rows(views, params: ParamBundle) -> list[Tensor]:
+    """The views of one prediction as [1, image_side^2] rows, after the
+    checks every prediction path makes: the bundle has a model config, there
+    are 1..max_views views, and each has image_side^2 pixels."""
+    cfg = params.cfg
+    if cfg is None:
+        raise ContractError("the bundle has no model config; pass cfg to load_checkpoint")
+    views = list(views)
+    if not views:
+        raise ContractError("predict needs at least one view")
+    if len(views) > cfg.max_views:
+        raise ContractError(f"{len(views)} views exceed the configured maximum {cfg.max_views}")
+    return [_flat_view(v, cfg.image_side) for v in views]
+
+
 def encode_view(image, params: ParamBundle) -> Tensor:
     """Latent vector for a single image_side x image_side view."""
     cfg = params.cfg
@@ -214,15 +230,7 @@ def predict(views, params: ParamBundle) -> tuple[VoxelGrid, AttentionMap | None]
 
     The attention map is returned only for attention aggregators.
     """
-    cfg = params.cfg
-    if cfg is None:
-        raise ContractError("the bundle has no model config; pass cfg to load_checkpoint")
-    views = list(views)
-    if not views:
-        raise ContractError("predict needs at least one view")
-    if len(views) > cfg.max_views:
-        raise ContractError(f"{len(views)} views exceed the configured maximum {cfg.max_views}")
-    latents = [encode_view(v, params) for v in views]
+    latents = [encode_view(row, params) for row in _view_rows(views, params)]
     fset = FeatureSet(T.stack_rows(latents))
     fused, attn = aggregate(fset, _agg_params(params))
     return decode_voxels(fused, params), attn

@@ -160,6 +160,17 @@ def test_eval_checkpoint_model_mismatch(trained_run, tmp_path, capsys):
     assert "match" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("counts", ["[]", "[2,2]"])
+def test_eval_rejects_empty_or_repeated_view_counts(trained_run, tmp_path, capsys, counts):
+    code = tiny_run("eval", tmp_path,
+                    "--set", f"paths.dataset_dir={trained_run / 'dataset'}",
+                    "--set", f"paths.checkpoint={trained_run / 'stage2.sfck'}",
+                    "--set", f"eval.view_counts={counts}")
+    assert code == 1
+    assert "view_counts" in capsys.readouterr().err
+    assert not (tmp_path / "eval.csv").exists()
+
+
 def test_eval_zero_init_attention_equals_mean_pooling(trained_run):
     from setfusion.metrics import EvalConfig, eval_sweep
     from setfusion.model import ModelConfig, ParamBundle, load_checkpoint

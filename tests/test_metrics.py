@@ -4,6 +4,7 @@ import pytest
 from setfusion import data as D
 from setfusion import metrics as E
 from setfusion import model as M
+from setfusion.aggregators import AGGREGATOR_KINDS
 from setfusion.errors import ContractError, ShapeError
 
 
@@ -236,3 +237,119 @@ def test_eval_sweep_rejects_view_count_beyond_k(tiny_world):
     params, testset = tiny_world
     with pytest.raises(ContractError):
         E.eval_sweep(params, testset, E.EvalConfig(view_counts=(9,)))
+
+
+def test_eval_sweep_rejects_empty_or_repeated_view_counts(tiny_world):
+    params, testset = tiny_world
+    for counts in ((), (2, 2), (1, 4, 1)):
+        with pytest.raises(ContractError, match="view_counts"):
+            E.EvalConfig(view_counts=counts).validate()
+        with pytest.raises(ContractError, match="view_counts"):
+            E.eval_sweep(params, testset, E.EvalConfig(view_counts=counts))
+
+
+def test_threshold_search_checks_the_view_count_bounds(tiny_world):
+    params, testset = tiny_world
+    with pytest.raises(ContractError, match="view counts must be >= 1"):
+        E.threshold_search(params, testset, E.EvalConfig(), 0)
+    with pytest.raises(ContractError, match=r"exceed the 8 stored views"):
+        E.threshold_search(params, testset, E.EvalConfig(), 9)
+    assert E.threshold_search(params, testset, E.EvalConfig(), 8)[0] in E.default_thresholds()
+
+
+# ------------------------------------------------ batched evaluation forward
+
+def _busy_model(kind):
+    """A tiny model whose attention and GRU weights are all non-zero, so
+    every kind's aggregate depends on its weights and on the set."""
+    cfg = M.ModelConfig(image_side=8, latent_dim=8, encoder_hidden=12,
+                        decoder_hidden=12, grid_side=8, aggregator_kind=kind, seed=4)
+    params = M.model_init(cfg)
+    rng = np.random.default_rng(21)
+    for name, t in sorted(params.att.items()):
+        t.data = rng.normal(0.0, 0.5, t.shape)
+    return params
+
+
+def _predicted_one_at_a_time(params, testset, cfg, n):
+    out = []
+    for s in testset:
+        picked = E.choose_views(cfg.seed, s.sample_id, n, s.views.shape[0])
+        grid, _ = M.predict([s.views[i] for i in picked], params)
+        out.append((s.sample_id, grid.probs.data, s.gt))
+    return out
+
+
+@pytest.mark.parametrize("kind", AGGREGATOR_KINDS)
+def test_batched_eval_equals_per_sample_predict(tiny_world, monkeypatch, kind):
+    _, testset = tiny_world
+    params = _busy_model(kind)
+    cfg = E.EvalConfig(view_counts=(1, 3, 8), seed=6)
+    for n in cfg.view_counts:
+        got = E._predicted_probs(params, testset, cfg, n)
+        want = _predicted_one_at_a_time(params, testset, cfg, n)
+        assert [sid for sid, _, _ in got] == [sid for sid, _, _ in want]
+        for (_, p, gt), (_, q, gt_want) in zip(got, want):
+            assert p.shape == q.shape
+            assert np.abs(p - q).max() <= 1e-12
+            assert gt is gt_want
+    batched = E.eval_sweep(params, testset, cfg)
+    monkeypatch.setattr(E, "_predicted_probs", _predicted_one_at_a_time)
+    looped = E.eval_sweep(params, testset, cfg)
+    assert batched.rows == looped.rows
+    assert batched.per_sample == looped.per_sample
+
+
+@pytest.mark.parametrize("kind", ["attsets_fc", "gru"])
+def test_batched_eval_does_not_depend_on_the_split_order(tiny_world, kind):
+    _, testset = tiny_world
+    params = _busy_model(kind)
+    cfg = E.EvalConfig(view_counts=(1, 3, 8), seed=6)
+    forward = E.eval_sweep(params, testset, cfg)
+    backward = E.eval_sweep(params, testset[::-1], cfg)
+    for n in cfg.view_counts:
+        assert dict(backward.per_sample[n]) == dict(forward.per_sample[n])
+        assert backward.threshold(n) == forward.threshold(n)
+
+
+class _OddSample:
+    def __init__(self, sample_id, side):
+        self.sample_id = sample_id
+        self.views = np.zeros((8, side, side))
+        self.gt = np.zeros(512, dtype=np.uint8)
+
+
+def test_batched_eval_keeps_predicts_typed_errors(tiny_world):
+    params, testset = tiny_world
+    cfg = E.EvalConfig(view_counts=(1, 4), seed=3)
+    bare = M.ParamBundle(base=params.base, att=params.att, cfg=None)
+    with pytest.raises(ContractError, match="no model config"):
+        E.eval_sweep(bare, testset, cfg)
+    narrow = M.ParamBundle(base=params.base, att=params.att,
+                           cfg=M.ModelConfig(**{**vars(params.cfg), "max_views": 3}))
+    with pytest.raises(ContractError, match="4 views exceed the configured maximum 3"):
+        E.eval_sweep(narrow, testset, cfg)
+    with pytest.raises(ShapeError, match="expected 8x8"):
+        E.eval_sweep(params, [_OddSample(0, 8), _OddSample(1, 5)], cfg)
+
+
+def test_eval_sweep_makes_one_batched_forward_per_view_count(tiny_world, monkeypatch):
+    """The benchmark's tracer times eval's layers by wrapping these module
+    attributes; a sweep that fell back to one ``predict`` per sample would
+    still pass every other test."""
+    params, testset = tiny_world
+    calls = dict.fromkeys(("predict", "encode_batch", "aggregate", "decode_batch"), 0)
+
+    def count(name):
+        fn = getattr(M, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(M, name, counted)
+
+    for name in calls:
+        count(name)
+    E.eval_sweep(params, testset, E.EvalConfig(view_counts=(1, 2, 8), seed=3))
+    assert calls == {"predict": 0, "encode_batch": 3, "aggregate": 3, "decode_batch": 3}
