@@ -22,13 +22,15 @@ parameters) and a GRU that consumes the set as a sequence, which is
 deliberately order-dependent; each of its steps is one fused ``gru_cell``.
 
 ``aggregate`` takes one ``FeatureSet`` or a ``SetBatch`` of M sets stored
-back to back (a training step's). On a batch the GRU runs all M sets as
-one packed recurrence: sorted longest first, time step i is one
-``gru_cell`` on the [B_i, D] rows of the B_i sets that still have a view
-i, and the fused rows come back in set order. A single set (``predict``,
-``gru_aggregate``) runs the same packed routine with B = 1, whose bits are
-those of the plain recurrence. The other kinds run their one-set kernel on
-each set of a batch in turn, so their bits do not depend on the batching.
+back to back. Every kind but the GRU is one kernel that reduces each column
+of an [N, L*C] set over its N rows on its own. L is a set's number of
+locations, or for a batch the m sets of size n gathered into one [n, m*D]
+bucket, set k in column group k. Each set's fused bits are then those of
+aggregating it alone; only an attention weight's gradient, one product per
+bucket, differs in its last bits. The GRU runs a batch as one packed
+recurrence, longest set first: time step i is one ``gru_cell`` on the rows
+of the sets that still have a view i. One set runs it with B = 1, the bits
+of the plain recurrence.
 
 All non-GRU aggregators are permutation invariant bit-for-bit: every
 reduction over the set axis goes through ``set_sum``/``set_max`` and every
@@ -43,7 +45,7 @@ the two paths produce identical bits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, groupby
 
 import numpy as np
 
@@ -173,20 +175,33 @@ def _check_width(weight: Tensor, width: int) -> None:
 
 
 def _attend(x: Tensor, w: Tensor, locations: int = 1) -> tuple[Tensor, Tensor]:
-    """The one AttSets module on a set stored as [N, S*C] (S = ``locations``).
-
-    A shared C x C map (or C x 1, one score per element) scores every
-    location's C features; the scores are normalized over the set axis and
-    weight a sum over it. Returns the fused [S*C] features and the [N, S*C]
-    scores.
+    """The one AttSets module on a set stored as [N, S*C] (S = ``locations``):
+    a shared C x C map (or C x 1, one score per element) scores every
+    location's C features, and the scores, normalized over the set axis,
+    weight a sum over it. Returns the fused [S*C] features and the scores.
     """
     n, ch = x.shape[0], x.shape[1] // locations
     _check_width(w, ch)
     c = T.matmul_rows(T.reshape(x, [n * locations, ch]), w)
     s = T.softmax_set(T.reshape(c, [n, locations * w.shape[1]]))
-    if w.shape[1] != ch:
-        s = T.repeat_cols(s, ch)
+    if w.shape[1] != ch:  # one score per element and location, spread over its C features
+        s = T.reshape(T.repeat_cols(T.reshape(s, [n * locations, 1]), ch), [n, locations * ch])
     return T.set_sum(T.ew_binary("mul", x, s)), s
+
+
+def _fuse(x: Tensor, params: AggregatorParams, locations: int = 1) -> tuple[Tensor, Tensor | None]:
+    """Every kind but the GRU on an [N, L*C] set (L = ``locations``): the
+    fused [L*C] features and the [N, L*C] scores (None for poolings)."""
+    kind = params.kind
+    if kind in ATTENTION_KINDS:
+        return _attend(x, params.weights["w" if kind == "attsets_elem" else "W"], locations)
+    if kind == "max":
+        return T.set_max(x), None
+    if kind == "sum":
+        return T.set_sum(x), None
+    if kind == "mean":  # scale-then-sum: the bits of attention at zero weights
+        return T.set_sum(T.ew_binary("mul", x, Tensor(np.float64(1.0 / x.shape[0])))), None
+    raise ContractError(f"unknown aggregator kind {kind!r}")
 
 
 def _set_data(fset: FeatureSet, params: AggregatorParams, kind: str, rank: int) -> Tensor:
@@ -199,7 +214,7 @@ def _set_data(fset: FeatureSet, params: AggregatorParams, kind: str, rank: int) 
 
 def attsets_fc(fset: FeatureSet, params: AggregatorParams) -> tuple[Tensor, AttentionMap]:
     """Feature-wise attention over an [N, D] set; returns ([D], scores)."""
-    y, s = _attend(_set_data(fset, params, "attsets_fc", 2), params.weights["W"])
+    y, s = _fuse(_set_data(fset, params, "attsets_fc", 2), params)
     return y, AttentionMap(s)
 
 
@@ -211,14 +226,14 @@ def attsets_conv(fset: FeatureSet, params: AggregatorParams) -> tuple[Tensor, At
     """
     x = _set_data(fset, params, "attsets_conv", 3)
     n, s_loc, ch = x.shape
-    y, s = _attend(T.reshape(x, [n, s_loc * ch]), params.weights["W"], s_loc)
+    y, s = _fuse(T.reshape(x, [n, s_loc * ch]), params, s_loc)
     return T.reshape(y, [s_loc, ch]), AttentionMap(T.reshape(s, [n, s_loc, ch]))
 
 
 def attsets_elem(fset: FeatureSet, params: AggregatorParams) -> tuple[Tensor, AttentionMap]:
     """Element-wise attention: one scalar score per set element, shared by
     all of that element's features."""
-    y, s = _attend(_set_data(fset, params, "attsets_elem", 2), params.weights["w"])
+    y, s = _fuse(_set_data(fset, params, "attsets_elem", 2), params)
     return y, AttentionMap(s)
 
 
@@ -229,13 +244,7 @@ def pool(kind: str, fset: FeatureSet) -> Tensor:
     x = fset.data
     if x.data.ndim != 2:
         raise ShapeError(f"pool needs an [N,D] set, got {list(x.shape)}")
-    if kind == "max":
-        return T.set_max(x)
-    if kind == "sum":
-        return T.set_sum(x)
-    # scale-then-sum: identical bits to an attention variant at zero weights
-    inv_n = Tensor(np.float64(1.0 / fset.n))
-    return T.set_sum(T.ew_binary("mul", x, inv_n))
+    return _fuse(x, AggregatorParams(kind))[0]
 
 
 def _gru_packed(x: Tensor, lengths: tuple[int, ...], w: dict[str, Tensor]) -> Tensor:
@@ -296,42 +305,31 @@ def aggregate(sets: FeatureSet | SetBatch, params: AggregatorParams
     """Dispatch on ``params.kind``.
 
     On one ``FeatureSet`` returns (fused features, attention map), the map
-    None for poolings and the GRU. On a ``SetBatch`` of M sets returns
-    ([M, out] fused rows in set order, None): the GRU runs the sets as one packed batch (see ``_gru_packed``), and every
-    other kind runs its one-set kernel on each set's rows in turn, so its
-    results are bit-identical to aggregating the sets one at a time.
+    None for poolings and the GRU; only ``attsets_conv`` takes [N, S, C].
+    On a ``SetBatch`` of M sets returns ([M, out] fused rows in set order, None).
     """
     if isinstance(sets, SetBatch):
         return _aggregate_batch(sets, params)
-    return _aggregate_one(sets, params)
+    if params.kind == "gru":
+        return gru_aggregate(sets, params), None
+    x = sets.data
+    if x.data.ndim == 3 and params.kind != "attsets_conv":
+        raise ShapeError(f"{params.kind} needs an [N,D] set, got {list(x.shape)}")
+    y, s = _fuse(T.reshape(x, [sets.n, x.size // sets.n]), params, x.size // (sets.n * sets.width))
+    return y, s if s is None else AttentionMap(T.reshape(s, x.shape))
 
 
-def _aggregate_batch(batch: SetBatch, params: AggregatorParams):
+def _aggregate_batch(batch: SetBatch, params: AggregatorParams) -> tuple[Tensor, None]:
+    """One kernel call per set size, or the packed GRU; see the module notes."""
     if params.kind == "gru":
         return _gru_packed(batch.data, batch.lengths, params.weights), None
+    lengths, width = batch.lengths, batch.data.shape[1]
+    first = list(accumulate(lengths, initial=0))  # each set's first row in the batch
+    order = sorted(range(len(lengths)), key=lambda j: lengths[j])
     fused = []
-    start = 0
-    for n in batch.lengths:
-        fused.append(_aggregate_one(FeatureSet(T.take_rows(batch.data, range(start, start + n))), params)[0])
-        start += n
-    return T.stack_rows(fused), None
-
-
-def _aggregate_one(fset: FeatureSet, params: AggregatorParams) -> tuple[Tensor, AttentionMap | None]:
-    kind = params.kind
-    if kind == "attsets_fc":
-        return attsets_fc(fset, params)
-    if kind == "attsets_conv":
-        data = fset.data
-        if data.data.ndim == 2:
-            n, d = data.shape
-            fset = FeatureSet(T.reshape(data, [n, 1, d]))
-        y, attn = attsets_conv(fset, params)
-        return T.reshape(y, [y.size]), attn
-    if kind == "attsets_elem":
-        return attsets_elem(fset, params)
-    if kind in POOL_KINDS:
-        return pool(kind, fset), None
-    if kind == "gru":
-        return gru_aggregate(fset, params), None
-    raise ContractError(f"unknown aggregator kind {kind!r}")
+    for n, bucket in groupby(order, key=lambda j: lengths[j]):
+        bucket = list(bucket)
+        x = T.take_rows(batch.data, [first[j] + i for i in range(n) for j in bucket])
+        y, _ = _fuse(T.reshape(x, [n, len(bucket) * width]), params, len(bucket))
+        fused.append(T.reshape(y, [len(bucket), width]))
+    return T.take_rows(T.stack_rows(fused), np.argsort(order)), None

@@ -35,7 +35,6 @@ __all__ = ["BenchConfig", "BenchReport", "run_bench"]
 @dataclass
 class BenchConfig:
     n_grid: tuple = (1, 4, 8, 12, 16, 20, 24)
-    latent_dim: int = 128
     repeats: int = 30
     warmups: int = 5
     inner_loops: int = 4  # forwards per timed repetition; median is per-forward
@@ -99,20 +98,18 @@ def _timed_ms(fn, inner_loops: int) -> float:
 def run_bench(cfg: BenchConfig, model_cfg: ModelConfig | None = None) -> BenchReport:
     cfg.validate()
     if model_cfg is None:
-        model_cfg = ModelConfig(latent_dim=cfg.latent_dim, max_views=max(cfg.n_grid))
-    if model_cfg.latent_dim != cfg.latent_dim:
-        raise ContractError("benchmark latent_dim must match the pipeline model")
+        model_cfg = ModelConfig(max_views=max(cfg.n_grid))
     if model_cfg.max_views < max(cfg.n_grid):
         raise ContractError("pipeline max_views below the largest benchmarked set size")
     cells = []  # (aggregator, n)
     fns = []  # two per cell: aggregation only, then the full forward
     for kind in cfg.aggregators:
-        agg_params = aggregator_init(kind, cfg.latent_dim, seed=cfg.seed)
+        agg_params = aggregator_init(kind, model_cfg.latent_dim, seed=cfg.seed)
         pipe_cfg = ModelConfig(**{**vars(model_cfg), "aggregator_kind": kind})
         pipe = model_init(pipe_cfg)
         for n in cfg.n_grid:
             rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, n]))
-            fset = FeatureSet(Tensor(rng.standard_normal((n, cfg.latent_dim))))
+            fset = FeatureSet(Tensor(rng.standard_normal((n, model_cfg.latent_dim))))
             views = list(rng.uniform(0, 1, size=(n, pipe_cfg.image_side, pipe_cfg.image_side)))
             cells.append((kind, n))
             fns += [lambda fset=fset, p=agg_params: aggregate(fset, p),

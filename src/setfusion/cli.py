@@ -151,8 +151,7 @@ def cmd_bench(args) -> int:
     cfg, out_dir = _resolve(args)
     bench_cfg = cfg.bench
     bench_cfg.validate()  # before the grid is read
-    pipe_cfg = dataclasses.replace(cfg.model, latent_dim=bench_cfg.latent_dim,
-                                   max_views=max(bench_cfg.n_grid))
+    pipe_cfg = dataclasses.replace(cfg.model, max_views=max(bench_cfg.n_grid))
     report = run_bench(bench_cfg, model_cfg=pipe_cfg)
     (out_dir / "bench.csv").write_text(report.to_csv())
     (out_dir / "bench.json").write_text(report.to_json())

@@ -54,7 +54,6 @@ __all__ = [
     "matmul_rows",
     "ew_binary",
     "map_unary",
-    "exp",
     "sigmoid",
     "relu",
     "softmax_set",
@@ -341,17 +340,9 @@ def ew_binary(op: str, a: Tensor, b: Tensor) -> Tensor:
 
 
 def map_unary(op: str, a: Tensor) -> Tensor:
-    """Elementwise exp, sigmoid or relu."""
+    """Elementwise sigmoid or relu."""
     x = a.data
-    if op == "exp":
-        with np.errstate(over="raise"):
-            try:
-                y = np.exp(x)
-            except FloatingPointError:
-                raise NumericOverflowError("exp overflow; stabilize inputs before exponentiating") from None
-        def bwd(g, need, y=y):
-            return (g * y,)
-    elif op == "sigmoid":
+    if op == "sigmoid":
         y = _sigmoid(x)
         def bwd(g, need, y=y):
             return (g * y * (1.0 - y),)
@@ -371,10 +362,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(x))
     d = 1.0 + e
     return np.where(x >= 0, 1.0 / d, e / d)
-
-
-def exp(a: Tensor) -> Tensor:
-    return map_unary("exp", a)
 
 
 def sigmoid(a: Tensor) -> Tensor:

@@ -32,7 +32,8 @@ encodes all of its views in one ``encode_batch`` call; the encoder's
 weight gradient is then one product over the step's rows. The step then
 aggregates all of its sets in one ``aggregate`` call on a ``SetBatch``
 (see ``aggregators.aggregate``: the GRU runs the sets as one packed batch,
-every other kind runs its one-set kernel per set) and decodes the fused
+every other kind one kernel call per set size, with each set's forward bits
+those of aggregating it alone) and decodes the fused
 rows, which come back in set order, in one ``decode_batch`` call. These
 three module attributes are what a step calls, once each. ``predict``
 still encodes one view at a time, which is what its bit-exact permutation

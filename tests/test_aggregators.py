@@ -224,26 +224,43 @@ def _packed_and_alone(params, x, lengths, rvec):
     return out
 
 
-def test_gru_packed_batch_matches_each_set_alone():
+def _kind_params(kind, width, rng):
+    """Parameters of ``kind`` with attention weights away from zero, where
+    attention would be mean pooling and its weight gradient vanish."""
+    params = ag.aggregator_init(kind, width, seed=3)
+    for name in ("W", "w"):
+        if name in params.weights:
+            params.weights[name] = Tensor(rng.standard_normal(params.weights[name].shape) * 0.5,
+                                          requires_grad=True)
+    return params
+
+
+@pytest.mark.parametrize("kind", ag.AGGREGATOR_KINDS)
+def test_packed_batch_matches_each_set_alone(kind):
     rng = np.random.default_rng(41)
-    lengths = [1, 3, 3, 8, 2]  # a tie, and sets ending at four different steps
-    params = ag.aggregator_init("gru", 6, seed=3)
-    x, rvec = rng.standard_normal((sum(lengths), 6)), rng.standard_normal((5, 6))
+    # ties, sizes out of order, and sets ending at four different steps
+    lengths = [1, 3, 3, 8, 2, 1]
+    params = _kind_params(kind, 6, rng)
+    x, rvec = rng.standard_normal((sum(lengths), 6)), rng.standard_normal((6, 6))
     (fused, grads), (want, want_grads) = _packed_and_alone(params, x, lengths, rvec)
-    assert fused.shape == want.shape == (5, 6)
-    assert np.abs(fused - want).max() <= 1e-12
+    assert fused.shape == want.shape == (6, 6)
+    if kind == "gru":
+        assert np.abs(fused - want).max() <= 1e-12
+    else:  # every reduction stays per slot, so each set's bits are its own
+        assert fused.tobytes() == want.tobytes()
     assert grads.keys() == want_grads.keys()
     for name in grads:
         assert np.abs(grads[name] - want_grads[name]).max() <= 1e-12, name
 
 
-def test_gru_packed_batch_of_one_set_is_bit_identical():
+@pytest.mark.parametrize("kind", ag.AGGREGATOR_KINDS)
+def test_packed_batch_of_one_set_is_bit_identical(kind):
     rng = np.random.default_rng(42)
-    params = ag.aggregator_init("gru", 5, seed=4)
+    params = _kind_params(kind, 5, rng)
     x, rvec = rng.standard_normal((7, 5)), rng.standard_normal((1, 5))
     (fused, grads), (want, want_grads) = _packed_and_alone(params, x, [7], rvec)
     assert fused.tobytes() == want.tobytes()
-    assert fused[0].tobytes() == ag.gru_aggregate(fset(x), params).data.tobytes()
+    assert fused[0].tobytes() == ag.aggregate(fset(x), params)[0].data.tobytes()
     for name in grads:
         assert grads[name].tobytes() == want_grads[name].tobytes(), name
 

@@ -295,7 +295,7 @@ def test_usage_error_maps_to_contract_exit():
 def test_bench_small_grid(tmp_path, capsys):
     code = run("bench", "--out", str(tmp_path),
                "--set", "bench.n_grid=[1,3]",
-               "--set", "bench.latent_dim=8",
+               "--set", "model.latent_dim=8",
                "--set", "bench.inner_loops=1",
                "--set", 'bench.aggregators=["attsets_fc","mean","gru"]',
                "--set", "model.image_side=4", "--set", "model.grid_side=4",
