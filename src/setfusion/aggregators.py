@@ -327,8 +327,8 @@ def _aggregate_batch(batch: SetBatch, params: AggregatorParams) -> tuple[Tensor,
     first = list(accumulate(lengths, initial=0))  # each set's first row in the batch
     order = sorted(range(len(lengths)), key=lambda j: lengths[j])
     fused = []
-    for n, bucket in groupby(order, key=lambda j: lengths[j]):
-        bucket = list(bucket)
+    for n, group in groupby(order, key=lambda j: lengths[j]):
+        bucket = list(group)
         x = T.take_rows(batch.data, [first[j] + i for i in range(n) for j in bucket])
         y, _ = _fuse(T.reshape(x, [n, len(bucket) * width]), params, len(bucket))
         fused.append(T.reshape(y, [len(bucket), width]))

@@ -224,10 +224,10 @@ def _packed_and_alone(params, x, lengths, rvec):
     return out
 
 
-def _kind_params(kind, width, rng):
+def _kind_params(kind, width, rng, seed):
     """Parameters of ``kind`` with attention weights away from zero, where
     attention would be mean pooling and its weight gradient vanish."""
-    params = ag.aggregator_init(kind, width, seed=3)
+    params = ag.aggregator_init(kind, width, seed=seed)
     for name in ("W", "w"):
         if name in params.weights:
             params.weights[name] = Tensor(rng.standard_normal(params.weights[name].shape) * 0.5,
@@ -240,7 +240,7 @@ def test_packed_batch_matches_each_set_alone(kind):
     rng = np.random.default_rng(41)
     # ties, sizes out of order, and sets ending at four different steps
     lengths = [1, 3, 3, 8, 2, 1]
-    params = _kind_params(kind, 6, rng)
+    params = _kind_params(kind, 6, rng, seed=3)
     x, rvec = rng.standard_normal((sum(lengths), 6)), rng.standard_normal((6, 6))
     (fused, grads), (want, want_grads) = _packed_and_alone(params, x, lengths, rvec)
     assert fused.shape == want.shape == (6, 6)
@@ -256,7 +256,7 @@ def test_packed_batch_matches_each_set_alone(kind):
 @pytest.mark.parametrize("kind", ag.AGGREGATOR_KINDS)
 def test_packed_batch_of_one_set_is_bit_identical(kind):
     rng = np.random.default_rng(42)
-    params = _kind_params(kind, 5, rng)
+    params = _kind_params(kind, 5, rng, seed=4)
     x, rvec = rng.standard_normal((7, 5)), rng.standard_normal((1, 5))
     (fused, grads), (want, want_grads) = _packed_and_alone(params, x, [7], rvec)
     assert fused.tobytes() == want.tobytes()
