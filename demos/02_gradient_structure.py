@@ -5,7 +5,7 @@ sets, verified against the finite-difference oracle.
 
 import numpy as np
 
-from setfusion import AggregatorParams, FeatureSet, Tensor, attsets_fc, finite_diff_grad
+from setfusion import AggregatorParams, FeatureSet, Tensor, aggregate, finite_diff_grad
 from setfusion.tensor import Tape, ew_binary, reduce_sum
 
 rng = np.random.default_rng(7)
@@ -14,7 +14,7 @@ probe = Tensor(rng.standard_normal(d))  # random linear readout of the output
 
 
 def loss_for(x, w):
-    y, _ = attsets_fc(FeatureSet(Tensor(x)), AggregatorParams("attsets_fc", {"W": w}))
+    y, _ = aggregate(FeatureSet(Tensor(x)), AggregatorParams("attsets_fc", {"W": w}))
     return reduce_sum(ew_binary("mul", y, probe), 0)
 
 

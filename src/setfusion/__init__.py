@@ -4,8 +4,9 @@ The package is organized as a small numpy-backed library:
 
 * ``tensor`` -- float64 tensors, tape-based reverse-mode gradients, and a
   finite-difference gradient oracle.
-* ``aggregators`` -- attention pooling (feature-wise, pointwise-spatial,
-  element-wise) plus max/mean/sum pooling and a GRU baseline.
+* ``aggregators`` -- one ``aggregate`` entry point for attention pooling
+  (feature-wise, pointwise-spatial, element-wise), max/mean/sum pooling
+  and a GRU baseline.
 * ``model`` -- encoder/aggregator/decoder pipeline with base vs attention
   parameter groups and a binary checkpoint format.
 * ``training`` -- the two-stage schedule (base on single views, attention
@@ -18,8 +19,7 @@ The package is organized as a small numpy-backed library:
 """
 
 from .aggregators import (AGGREGATOR_KINDS, AggregatorParams, AttentionMap, FeatureSet,
-                          SetBatch, aggregate, aggregator_init, attsets_conv, attsets_elem,
-                          attsets_fc, gru_aggregate, pool)
+                          SetBatch, aggregate, aggregator_init)
 from .data import (DatasetMeta, MultiViewSample, ShapeSpec, generate_dataset,
                    load_dataset, make_shape, render_view)
 from .metrics import EvalConfig, EvalReport, eval_sweep, iou, threshold_search
@@ -33,8 +33,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AGGREGATOR_KINDS", "AggregatorParams", "AttentionMap", "FeatureSet",
-    "SetBatch", "aggregate", "aggregator_init", "attsets_conv", "attsets_elem", "attsets_fc",
-    "gru_aggregate", "pool",
+    "SetBatch", "aggregate", "aggregator_init",
     "DatasetMeta", "MultiViewSample", "ShapeSpec", "generate_dataset",
     "load_dataset", "make_shape", "render_view",
     "EvalConfig", "EvalReport", "eval_sweep", "iou", "threshold_search",

@@ -10,27 +10,30 @@ the set axis with a softmax, and sums the score-weighted features:
     output      = sum_n  X[n] * scores[n]
 
 The kernel sees every set as [N, S, C], passed flat as [N, S*C]; the three
-public layouts differ only in shape. ``attsets_fc`` is a D x D map on an [N, D] vector set (S = 1);
-``attsets_conv`` shares a pointwise C x C map across the S spatial
-locations of an [N, S, C] set -- the filter-size-1 convolutional form,
-covering both 2D and 3D feature maps since locations are flattened; and
-``attsets_elem`` is a D x 1 map on an [N, D] set, one scalar score per
-element broadcast over all of its features. A bias would add the same
-constant to every element's activation in a slot, which the set-axis
-softmax cancels, so there is none. Baselines: max/mean/sum pooling (no
-parameters) and a GRU that consumes the set as a sequence, which is
-deliberately order-dependent; each of its steps is one fused ``gru_cell``.
+attention kinds differ only in shape. ``attsets_fc`` is a D x D map on an
+[N, D] vector set (S = 1); ``attsets_conv`` shares a pointwise C x C map
+across the S spatial locations of an [N, S, C] set -- the filter-size-1
+convolutional form, covering both 2D and 3D feature maps since locations
+are flattened -- so each location behaves exactly like ``attsets_fc`` on
+its [N, C] slice; and ``attsets_elem`` is a D x 1 map on an [N, D] set,
+one scalar score per element broadcast over all of its features. A bias
+would add the same constant to every element's activation in a slot,
+which the set-axis softmax cancels, so there is none. Baselines:
+max/mean/sum pooling (no parameters) and a GRU that consumes the set as a
+sequence, which is deliberately order-dependent; each of its steps is one
+fused ``gru_cell``.
 
-``aggregate`` takes one ``FeatureSet`` or a ``SetBatch`` of M sets stored
-back to back. Every kind but the GRU is one kernel that reduces each column
-of an [N, L*C] set over its N rows on its own. L is a set's number of
-locations, or for a batch the m sets of size n gathered into one [n, m*D]
-bucket, set k in column group k. Each set's fused bits are then those of
-aggregating it alone; only an attention weight's gradient, one product per
-bucket, differs in its last bits. The GRU runs a batch as one packed
-recurrence, longest set first: time step i is one ``gru_cell`` on the rows
-of the sets that still have a view i. One set runs it with B = 1, the bits
-of the plain recurrence.
+``aggregate`` is the one entry point for every kind, named by
+``params.kind`` (one of ``AGGREGATOR_KINDS``). It takes one ``FeatureSet``
+or a ``SetBatch`` of M sets stored back to back. Every kind but the GRU is
+one kernel that reduces each column of an [N, L*C] set over its N rows on
+its own. L is a set's number of locations, or for a batch the m sets of
+size n gathered into one [n, m*D] bucket, set k in column group k. Each
+set's fused bits are then those of aggregating it alone; only an attention
+weight's gradient, one product per bucket, differs in its last bits. The
+GRU runs a batch as one packed recurrence, longest set first: time step i
+is one ``gru_cell`` on the rows of the sets that still have a view i. One
+set runs it with B = 1, the bits of the plain recurrence.
 
 All non-GRU aggregators are permutation invariant bit-for-bit: every
 reduction over the set axis goes through ``set_sum``/``set_max`` and every
@@ -62,11 +65,6 @@ __all__ = [
     "ATTENTION_KINDS",
     "POOL_KINDS",
     "aggregator_init",
-    "attsets_fc",
-    "attsets_conv",
-    "attsets_elem",
-    "pool",
-    "gru_aggregate",
     "aggregate",
 ]
 
@@ -108,6 +106,8 @@ class SetBatch:
     lengths: tuple[int, ...]
 
     def __post_init__(self):
+        if not isinstance(self.data, Tensor):
+            self.data = Tensor(np.asarray(self.data, dtype=np.float64))
         self.lengths = tuple(int(n) for n in self.lengths)
         if self.data.data.ndim != 2:
             raise ShapeError(f"a set batch stores [R,D] rows, got {list(self.data.shape)}")
@@ -164,11 +164,6 @@ def aggregator_init(kind: str, width: int, seed: int = 0) -> AggregatorParams:
     return AggregatorParams(kind=kind, weights=weights)
 
 
-def _require_kind(params: AggregatorParams, kind: str) -> None:
-    if params.kind != kind:
-        raise ContractError(f"expected params of kind {kind!r}, got {params.kind!r}")
-
-
 def _check_width(weight: Tensor, width: int) -> None:
     if weight.shape[0] != width:
         raise ShapeError(f"feature width {width} does not match weights {list(weight.shape)}")
@@ -202,49 +197,6 @@ def _fuse(x: Tensor, params: AggregatorParams, locations: int = 1) -> tuple[Tens
     if kind == "mean":  # scale-then-sum: the bits of attention at zero weights
         return T.set_sum(T.ew_binary("mul", x, Tensor(np.float64(1.0 / x.shape[0])))), None
     raise ContractError(f"unknown aggregator kind {kind!r}")
-
-
-def _set_data(fset: FeatureSet, params: AggregatorParams, kind: str, rank: int) -> Tensor:
-    _require_kind(params, kind)
-    if fset.data.data.ndim != rank:
-        layout = "[N,D]" if rank == 2 else "[N,S,C]"
-        raise ShapeError(f"{kind} needs an {layout} set, got {list(fset.data.shape)}")
-    return fset.data
-
-
-def attsets_fc(fset: FeatureSet, params: AggregatorParams) -> tuple[Tensor, AttentionMap]:
-    """Feature-wise attention over an [N, D] set; returns ([D], scores)."""
-    y, s = _fuse(_set_data(fset, params, "attsets_fc", 2), params)
-    return y, AttentionMap(s)
-
-
-def attsets_conv(fset: FeatureSet, params: AggregatorParams) -> tuple[Tensor, AttentionMap]:
-    """Pointwise attention over an [N, S, C] spatial set; returns ([S, C], scores).
-
-    Each of the S locations behaves exactly like ``attsets_fc`` on its
-    [N, C] slice with the shared C x C map.
-    """
-    x = _set_data(fset, params, "attsets_conv", 3)
-    n, s_loc, ch = x.shape
-    y, s = _fuse(T.reshape(x, [n, s_loc * ch]), params, s_loc)
-    return T.reshape(y, [s_loc, ch]), AttentionMap(T.reshape(s, [n, s_loc, ch]))
-
-
-def attsets_elem(fset: FeatureSet, params: AggregatorParams) -> tuple[Tensor, AttentionMap]:
-    """Element-wise attention: one scalar score per set element, shared by
-    all of that element's features."""
-    y, s = _fuse(_set_data(fset, params, "attsets_elem", 2), params)
-    return y, AttentionMap(s)
-
-
-def pool(kind: str, fset: FeatureSet) -> Tensor:
-    """Parameterless max / mean / sum pooling over the set axis."""
-    if kind not in POOL_KINDS:
-        raise ContractError(f"unknown pooling kind {kind!r}")
-    x = fset.data
-    if x.data.ndim != 2:
-        raise ShapeError(f"pool needs an [N,D] set, got {list(x.shape)}")
-    return _fuse(x, AggregatorParams(kind))[0]
 
 
 def _gru_packed(x: Tensor, lengths: tuple[int, ...], w: dict[str, Tensor]) -> Tensor:
@@ -285,38 +237,26 @@ def _gru_packed(x: Tensor, lengths: tuple[int, ...], w: dict[str, Tensor]) -> Te
     return T.take_rows(T.stack_rows(blocks), final)
 
 
-def gru_aggregate(fset: FeatureSet, params: AggregatorParams) -> Tensor:
-    """Left-to-right recurrence over the set order; order-dependent by design.
-
-    The packed recurrence on a batch of this one set: each step is one
-    ``gru_cell`` on the next row, after a ``take_rows`` of that row.
-    """
-    _require_kind(params, "gru")
-    x = fset.data
-    if x.data.ndim != 2:
-        raise ShapeError(f"gru needs an [N,D] set, got {list(x.shape)}")
-    _check_width(params.weights["Wz"], fset.width)
-    h = _gru_packed(x, (fset.n,), params.weights)
-    return T.reshape(h, [fset.width])
-
-
 def aggregate(sets: FeatureSet | SetBatch, params: AggregatorParams
               ) -> tuple[Tensor, AttentionMap | None]:
-    """Dispatch on ``params.kind``.
+    """Aggregate with ``params.kind``: the one entry point for every kind.
 
-    On one ``FeatureSet`` returns (fused features, attention map), the map
-    None for poolings and the GRU; only ``attsets_conv`` takes [N, S, C].
-    On a ``SetBatch`` of M sets returns ([M, out] fused rows in set order, None).
+    On one ``FeatureSet`` returns (fused features, attention map). The
+    features have one element's shape, [D] or [S, C]; the map has the set's
+    shape, None for poolings and the GRU. Only ``attsets_conv`` takes
+    [N, S, C]. On a ``SetBatch`` of M sets returns ([M, D] fused rows in
+    set order, None).
     """
     if isinstance(sets, SetBatch):
         return _aggregate_batch(sets, params)
-    if params.kind == "gru":
-        return gru_aggregate(sets, params), None
     x = sets.data
     if x.data.ndim == 3 and params.kind != "attsets_conv":
         raise ShapeError(f"{params.kind} needs an [N,D] set, got {list(x.shape)}")
+    if params.kind == "gru":
+        _check_width(params.weights["Wz"], sets.width)
+        return T.reshape(_gru_packed(x, (sets.n,), params.weights), [sets.width]), None
     y, s = _fuse(T.reshape(x, [sets.n, x.size // sets.n]), params, x.size // (sets.n * sets.width))
-    return y, s if s is None else AttentionMap(T.reshape(s, x.shape))
+    return T.reshape(y, x.shape[1:]), s if s is None else AttentionMap(T.reshape(s, x.shape))
 
 
 def _aggregate_batch(batch: SetBatch, params: AggregatorParams) -> tuple[Tensor, None]:

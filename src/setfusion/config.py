@@ -98,31 +98,36 @@ def _parse_value(raw: str):
         return raw
 
 
+def _fits(value, default) -> bool:
+    """Whether ``value`` keeps the type of ``default``: ints stay ints,
+    floats accept ints, strings stay strings, and a list's every element
+    keeps the type of the default's elements."""
+    if isinstance(default, bool):
+        return isinstance(value, bool)
+    if isinstance(default, int):
+        return isinstance(value, int) and not isinstance(value, bool)
+    if isinstance(default, float):
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(default, str):
+        return isinstance(value, str)
+    if isinstance(default, list):
+        return isinstance(value, (list, tuple)) and all(_fits(v, default[0]) for v in value)
+    return True
+
+
 def _check_types(sections: dict) -> None:
-    """Every leaf must keep the type of its default (ints stay ints, floats
-    accept ints, strings stay strings, lists stay lists)."""
+    """Every leaf must keep the type of its default (see ``_fits``)."""
     for section, body in DEFAULTS.items():
         for key, default in body.items():
             value = sections[section][key]
-            dotted = f"{section}.{key}"
-            if isinstance(default, bool):
-                ok = isinstance(value, bool)
-            elif isinstance(default, int):
-                ok = isinstance(value, int) and not isinstance(value, bool)
-            elif isinstance(default, float):
-                ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-                if ok:
-                    sections[section][key] = float(value)
-            elif isinstance(default, str):
-                ok = isinstance(value, str)
-            elif isinstance(default, list):
-                ok = isinstance(value, (list, tuple))
-            else:
-                ok = True
-            if not ok:
+            if not _fits(value, default):
+                expects = type(default).__name__
+                if isinstance(default, list):
+                    expects += f" of {type(default[0]).__name__}"
                 raise ContractError(
-                    f"config key {dotted!r} expects {type(default).__name__}, "
-                    f"got {value!r}")
+                    f"config key {f'{section}.{key}'!r} expects {expects}, got {value!r}")
+            if isinstance(default, float):
+                sections[section][key] = float(value)
 
 
 def load_run_config(config_path: str | None = None, overrides: list[str] | None = None,

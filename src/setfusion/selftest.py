@@ -78,22 +78,13 @@ def _check_permutation_invariance() -> CheckResult:
             pf.weights["W"] = Tensor(rng.standard_normal((d, d)) * 0.3, requires_grad=True)
             pe = ag.aggregator_init("attsets_elem", d)
             pe.weights["w"] = Tensor(rng.standard_normal((d, 1)) * 0.3, requires_grad=True)
-            outs = {
-                "attsets_fc": ag.attsets_fc(ag.FeatureSet(Tensor(x)), pf)[0].data,
-                "attsets_elem": ag.attsets_elem(ag.FeatureSet(Tensor(x)), pe)[0].data,
-                "max": ag.pool("max", ag.FeatureSet(Tensor(x))).data,
-                "mean": ag.pool("mean", ag.FeatureSet(Tensor(x))).data,
-                "sum": ag.pool("sum", ag.FeatureSet(Tensor(x))).data,
-            }
+            params = [pf, pe] + [ag.AggregatorParams(kind) for kind in ag.POOL_KINDS]
+            outs = [ag.aggregate(ag.FeatureSet(Tensor(x)), p)[0].data for p in params]
             for _ in range(10):
                 xp = x[rng.permutation(n)]
-                worst = max(worst, float(np.abs(
-                    ag.attsets_fc(ag.FeatureSet(Tensor(xp)), pf)[0].data - outs["attsets_fc"]).max()))
-                worst = max(worst, float(np.abs(
-                    ag.attsets_elem(ag.FeatureSet(Tensor(xp)), pe)[0].data - outs["attsets_elem"]).max()))
-                for kind in ("max", "mean", "sum"):
+                for p, out in zip(params, outs):
                     worst = max(worst, float(np.abs(
-                        ag.pool(kind, ag.FeatureSet(Tensor(xp))).data - outs[kind]).max()))
+                        ag.aggregate(ag.FeatureSet(Tensor(xp)), p)[0].data - out).max()))
     return CheckResult("permutation-invariance", worst <= 1e-9,
                        f"max deviation over permutations = {worst:.2e}")
 
@@ -103,8 +94,8 @@ def _check_gru_variance() -> CheckResult:
     for trial in range(20):
         params = ag.aggregator_init("gru", 8, seed=trial)
         x = rng.standard_normal((6, 8)) * 2
-        fwd = ag.gru_aggregate(ag.FeatureSet(Tensor(x)), params).data
-        rev = ag.gru_aggregate(ag.FeatureSet(Tensor(x[::-1])), params).data
+        fwd = ag.aggregate(ag.FeatureSet(Tensor(x)), params)[0].data
+        rev = ag.aggregate(ag.FeatureSet(Tensor(x[::-1])), params)[0].data
         if np.abs(fwd - rev).max() > 1e-3:
             return CheckResult("gru-permutation-variance", True,
                                f"order flip moved output by {np.abs(fwd - rev).max():.2e}")
@@ -132,7 +123,7 @@ def _check_single_element_identity() -> CheckResult:
 
 def _fc_loss(x, w, rvec):
     params = ag.AggregatorParams("attsets_fc", {"W": w})
-    y, _ = ag.attsets_fc(ag.FeatureSet(Tensor(x)), params)
+    y, _ = ag.aggregate(ag.FeatureSet(Tensor(x)), params)
     return T.reduce_sum(T.ew_binary("mul", y, Tensor(rvec)), 0)
 
 
@@ -193,7 +184,7 @@ def _check_zero_init_equivalence() -> CheckResult:
     for _ in range(10):
         n, d = int(rng.integers(2, 12)), int(rng.integers(1, 12))
         x = rng.standard_normal((n, d))
-        mean = ag.pool("mean", ag.FeatureSet(Tensor(x))).data
+        mean = ag.aggregate(ag.FeatureSet(Tensor(x)), ag.AggregatorParams("mean"))[0].data
         for kind in ("attsets_fc", "attsets_elem"):
             y, _ = ag.aggregate(ag.FeatureSet(Tensor(x)), ag.aggregator_init(kind, d))
             if np.abs(y.data - mean).max() > 1e-12:

@@ -92,23 +92,23 @@ def test_criterion_01_permutation_invariance():
         pc.weights["W"] = Tensor(rng.standard_normal((d, d)) * 0.3, requires_grad=True)
         spatial = ag.FeatureSet(Tensor(x.reshape(n, 1, d)))
         base = {
-            "fc": ag.attsets_fc(ag.FeatureSet(Tensor(x)), pf)[0].data,
-            "elem": ag.attsets_elem(ag.FeatureSet(Tensor(x)), pe)[0].data,
-            "conv": ag.attsets_conv(spatial, pc)[0].data,
-            "max": ag.pool("max", ag.FeatureSet(Tensor(x))).data,
-            "mean": ag.pool("mean", ag.FeatureSet(Tensor(x))).data,
-            "sum": ag.pool("sum", ag.FeatureSet(Tensor(x))).data,
+            "fc": ag.aggregate(ag.FeatureSet(Tensor(x)), pf)[0].data,
+            "elem": ag.aggregate(ag.FeatureSet(Tensor(x)), pe)[0].data,
+            "conv": ag.aggregate(spatial, pc)[0].data,
+            "max": ag.aggregate(ag.FeatureSet(Tensor(x)), ag.AggregatorParams("max"))[0].data,
+            "mean": ag.aggregate(ag.FeatureSet(Tensor(x)), ag.AggregatorParams("mean"))[0].data,
+            "sum": ag.aggregate(ag.FeatureSet(Tensor(x)), ag.AggregatorParams("sum"))[0].data,
         }
         for _ in range(10):
             xp = x[rng.permutation(n)]
             sp = ag.FeatureSet(Tensor(xp.reshape(n, 1, d)))
             outs = {
-                "fc": ag.attsets_fc(ag.FeatureSet(Tensor(xp)), pf)[0].data,
-                "elem": ag.attsets_elem(ag.FeatureSet(Tensor(xp)), pe)[0].data,
-                "conv": ag.attsets_conv(sp, pc)[0].data,
-                "max": ag.pool("max", ag.FeatureSet(Tensor(xp))).data,
-                "mean": ag.pool("mean", ag.FeatureSet(Tensor(xp))).data,
-                "sum": ag.pool("sum", ag.FeatureSet(Tensor(xp))).data,
+                "fc": ag.aggregate(ag.FeatureSet(Tensor(xp)), pf)[0].data,
+                "elem": ag.aggregate(ag.FeatureSet(Tensor(xp)), pe)[0].data,
+                "conv": ag.aggregate(sp, pc)[0].data,
+                "max": ag.aggregate(ag.FeatureSet(Tensor(xp)), ag.AggregatorParams("max"))[0].data,
+                "mean": ag.aggregate(ag.FeatureSet(Tensor(xp)), ag.AggregatorParams("mean"))[0].data,
+                "sum": ag.aggregate(ag.FeatureSet(Tensor(xp)), ag.AggregatorParams("sum"))[0].data,
             }
             for key in base:
                 worst = max(worst, float(np.abs(outs[key] - base[key]).max()))
@@ -124,8 +124,8 @@ def test_criterion_02_gru_permutation_variance():
         params = ag.aggregator_init("gru", 8, seed=trial)
         x = rng.standard_normal((int(rng.integers(3, 12)), 8)) * 2.0
         fset = ag.FeatureSet(Tensor(x))
-        fwd = ag.gru_aggregate(fset, params).data
-        perm = ag.gru_aggregate(ag.FeatureSet(Tensor(x[::-1])), params).data
+        fwd = ag.aggregate(fset, params)[0].data
+        perm = ag.aggregate(ag.FeatureSet(Tensor(x[::-1])), params)[0].data
         best = max(best, float(np.abs(fwd - perm).max()))
     report(2, best > 1e-3, f"largest permutation-pair difference {best:.2e}")
 

@@ -13,8 +13,8 @@ def fset(arr):
     return ag.FeatureSet(Tensor(np.asarray(arr, dtype=np.float64)))
 
 
-def mean_pool(arr):
-    return ag.pool("mean", fset(arr)).data
+def pooled(kind, arr):
+    return ag.aggregate(fset(arr), ag.AggregatorParams(kind))[0].data
 
 
 # ------------------------------------------------------------ feature sets
@@ -36,14 +36,14 @@ def test_fc_single_element_identity():
     for seed in range(3):
         params = ag.aggregator_init("attsets_fc", 2)
         params.weights["W"] = Tensor(np.random.default_rng(seed).standard_normal((2, 2)), requires_grad=True)
-        y, attn = ag.attsets_fc(fset(x), params)
+        y, attn = ag.aggregate(fset(x), params)
         assert np.array_equal(y.data, [5.0, -7.0])
         assert np.array_equal(attn.scores.data, [[1.0, 1.0]])
 
 
 def test_fc_zero_weights_is_mean():
     x = np.array([[1.0, 2.0], [3.0, 4.0]])
-    y, attn = ag.attsets_fc(fset(x), ag.aggregator_init("attsets_fc", 2))
+    y, attn = ag.aggregate(fset(x), ag.aggregator_init("attsets_fc", 2))
     assert np.array_equal(y.data, [2.0, 3.0])
     attn.validate()
 
@@ -51,7 +51,7 @@ def test_fc_zero_weights_is_mean():
 def test_fc_hand_case_d1():
     params = ag.aggregator_init("attsets_fc", 1)
     params.weights["W"] = Tensor([[math.log(2.0)]], requires_grad=True)
-    y, attn = ag.attsets_fc(fset([[1.0], [2.0]]), params)
+    y, attn = ag.aggregate(fset([[1.0], [2.0]]), params)
     s = attn.scores.data
     assert abs(s[0, 0] - 1.0 / 3.0) < 1e-15
     assert abs(s[1, 0] - 2.0 / 3.0) < 1e-15
@@ -60,12 +60,7 @@ def test_fc_hand_case_d1():
 
 def test_fc_width_mismatch():
     with pytest.raises(ShapeError):
-        ag.attsets_fc(fset(np.zeros((2, 3))), ag.aggregator_init("attsets_fc", 2))
-
-
-def test_fc_wrong_kind():
-    with pytest.raises(ContractError):
-        ag.attsets_fc(fset(np.zeros((2, 3))), ag.aggregator_init("mean", 3))
+        ag.aggregate(fset(np.zeros((2, 3))), ag.aggregator_init("attsets_fc", 2))
 
 
 # ----------------------------------------------------------- attsets_conv
@@ -78,8 +73,8 @@ def test_conv_s1_equals_fc_bit_exact():
     pf.weights["W"] = Tensor(w, requires_grad=True)
     pc = ag.aggregator_init("attsets_conv", 8)
     pc.weights["W"] = Tensor(w, requires_grad=True)
-    yf, af = ag.attsets_fc(fset(x), pf)
-    yc, ac = ag.attsets_conv(ag.FeatureSet(Tensor(x.reshape(5, 1, 8))), pc)
+    yf, af = ag.aggregate(fset(x), pf)
+    yc, ac = ag.aggregate(ag.FeatureSet(Tensor(x.reshape(5, 1, 8))), pc)
     assert np.array_equal(yc.data.reshape(-1), yf.data)
     assert np.array_equal(ac.scores.data.reshape(5, 8), af.scores.data)
 
@@ -89,7 +84,7 @@ def test_conv_single_element_identity():
     x = rng.standard_normal((1, 3, 4))
     params = ag.aggregator_init("attsets_conv", 4)
     params.weights["W"] = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
-    y, attn = ag.attsets_conv(ag.FeatureSet(Tensor(x)), params)
+    y, attn = ag.aggregate(ag.FeatureSet(Tensor(x)), params)
     assert np.array_equal(y.data, x[0])
     assert np.array_equal(attn.scores.data, np.ones((1, 3, 4)))
 
@@ -97,9 +92,9 @@ def test_conv_single_element_identity():
 def test_conv_zero_weights_is_per_location_mean():
     rng = np.random.default_rng(23)
     x = rng.standard_normal((2, 3, 4))
-    y, attn = ag.attsets_conv(ag.FeatureSet(Tensor(x)), ag.aggregator_init("attsets_conv", 4))
+    y, attn = ag.aggregate(ag.FeatureSet(Tensor(x)), ag.aggregator_init("attsets_conv", 4))
     for loc in range(3):
-        assert np.array_equal(y.data[loc], mean_pool(x[:, loc, :]))
+        assert np.array_equal(y.data[loc], pooled("mean", x[:, loc, :]))
     attn.validate()
 
 
@@ -112,10 +107,10 @@ def test_conv_c1_is_fc_per_location():
     pc.weights["W"] = Tensor(w, requires_grad=True)
     pf = ag.aggregator_init("attsets_fc", 1)
     pf.weights["W"] = Tensor(w, requires_grad=True)
-    y, attn = ag.attsets_conv(ag.FeatureSet(Tensor(x)), pc)
+    y, attn = ag.aggregate(ag.FeatureSet(Tensor(x)), pc)
     assert y.shape == (3, 1)
     for loc in range(3):
-        yf, af = ag.attsets_fc(fset(x[:, loc, :]), pf)
+        yf, af = ag.aggregate(fset(x[:, loc, :]), pf)
         assert np.array_equal(y.data[loc], yf.data)
         assert np.array_equal(attn.scores.data[:, loc, :], af.scores.data)
     attn.validate()
@@ -125,7 +120,7 @@ def test_conv_c1_is_fc_per_location():
 
 def test_elem_zero_weights_is_mean():
     x = np.array([[1.0, 2.0], [3.0, 4.0]])
-    y, attn = ag.attsets_elem(fset(x), ag.aggregator_init("attsets_elem", 2))
+    y, attn = ag.aggregate(fset(x), ag.aggregator_init("attsets_elem", 2))
     assert np.array_equal(y.data, [2.0, 3.0])
     attn.validate()
 
@@ -134,7 +129,7 @@ def test_elem_single_element_identity():
     params = ag.aggregator_init("attsets_elem", 3)
     params.weights["w"] = Tensor(np.random.default_rng(1).standard_normal((3, 1)), requires_grad=True)
     x = np.array([[0.5, -1.5, 9.0]])
-    y, attn = ag.attsets_elem(fset(x), params)
+    y, attn = ag.aggregate(fset(x), params)
     assert np.array_equal(y.data, x[0])
     assert np.array_equal(attn.scores.data, np.ones((1, 3)))
 
@@ -147,8 +142,8 @@ def test_elem_d1_matches_fc():
     pe.weights["w"] = Tensor(w, requires_grad=True)
     pf = ag.aggregator_init("attsets_fc", 1)
     pf.weights["W"] = Tensor(w, requires_grad=True)
-    ye, _ = ag.attsets_elem(fset(x), pe)
-    yf, _ = ag.attsets_fc(fset(x), pf)
+    ye, _ = ag.aggregate(fset(x), pe)
+    yf, _ = ag.aggregate(fset(x), pf)
     assert np.allclose(ye.data, yf.data, rtol=0, atol=1e-15)
 
 
@@ -156,15 +151,10 @@ def test_elem_d1_matches_fc():
 
 def test_pool_values():
     x = np.array([[1.0, 5.0], [3.0, 2.0]])
-    assert np.array_equal(ag.pool("max", fset(x)).data, [3.0, 5.0])
-    assert np.array_equal(ag.pool("mean", fset(x)).data, [2.0, 3.5])
+    assert np.array_equal(pooled("max", x), [3.0, 5.0])
+    assert np.array_equal(pooled("mean", x), [2.0, 3.5])
     single = np.array([[1.5, -2.5]])
-    assert np.array_equal(ag.pool("sum", fset(single)).data, single[0])
-
-
-def test_pool_unknown_kind():
-    with pytest.raises(ContractError):
-        ag.pool("median", fset(np.zeros((2, 2))))
+    assert np.array_equal(pooled("sum", single), single[0])
 
 
 # --------------------------------------------------------------------- gru
@@ -172,8 +162,8 @@ def test_pool_unknown_kind():
 def test_gru_single_step_deterministic():
     params = ag.aggregator_init("gru", 4, seed=9)
     x = np.random.default_rng(2).standard_normal((1, 4))
-    a = ag.gru_aggregate(fset(x), params).data
-    b = ag.gru_aggregate(fset(x), params).data
+    a = ag.aggregate(fset(x), params)[0].data
+    b = ag.aggregate(fset(x), params)[0].data
     assert np.array_equal(a, b)
 
 
@@ -183,8 +173,8 @@ def test_gru_order_sensitivity():
     for trial in range(20):
         params = ag.aggregator_init("gru", 8, seed=trial)
         x = rng.standard_normal((6, 8)) * 2.0
-        fwd = ag.gru_aggregate(fset(x), params).data
-        rev = ag.gru_aggregate(fset(x[::-1]), params).data
+        fwd = ag.aggregate(fset(x), params)[0].data
+        rev = ag.aggregate(fset(x[::-1]), params)[0].data
         if np.abs(fwd - rev).max() > 1e-3:
             hits += 1
     assert hits >= 1
@@ -194,13 +184,13 @@ def test_gru_zero_params_gives_zeros():
     params = ag.aggregator_init("gru", 3, seed=0)
     for name, t in params.weights.items():
         params.weights[name] = Tensor(np.zeros_like(t.data), requires_grad=True)
-    y = ag.gru_aggregate(fset(np.random.default_rng(3).standard_normal((5, 3))), params)
+    y, _ = ag.aggregate(fset(np.random.default_rng(3).standard_normal((5, 3))), params)
     assert np.array_equal(y.data, np.zeros(3))
 
 
 def test_gru_width_mismatch():
     with pytest.raises(ShapeError):
-        ag.gru_aggregate(fset(np.zeros((2, 5))), ag.aggregator_init("gru", 4))
+        ag.aggregate(fset(np.zeros((2, 5))), ag.aggregator_init("gru", 4))
 
 
 def _packed_and_alone(params, x, lengths, rvec):
@@ -274,15 +264,23 @@ def test_set_batch_rejects_bad_lengths():
         ag.SetBatch(Tensor(np.zeros((4, 1, 3))), [4])
 
 
+def test_set_batch_takes_an_array():
+    x = np.arange(12.0).reshape(3, 4)
+    batch = ag.SetBatch(x, (1, 2))
+    assert isinstance(batch.data, Tensor)
+    fused, _ = ag.aggregate(batch, ag.AggregatorParams("sum"))
+    assert np.array_equal(fused.data, [x[0], x[1] + x[2]])
+
+
 # -------------------------------------------------------- aggregator_init
 
 def test_init_zero_attention_equals_mean_bit_exact():
     rng = np.random.default_rng(50)
     for n in (2, 3, 5, 7):
         x = rng.standard_normal((n, 6))
-        yf, _ = ag.attsets_fc(fset(x), ag.aggregator_init("attsets_fc", 6))
-        ye, _ = ag.attsets_elem(fset(x), ag.aggregator_init("attsets_elem", 6))
-        m = mean_pool(x)
+        yf, _ = ag.aggregate(fset(x), ag.aggregator_init("attsets_fc", 6))
+        ye, _ = ag.aggregate(fset(x), ag.aggregator_init("attsets_elem", 6))
+        m = pooled("mean", x)
         assert np.array_equal(yf.data, m)
         assert np.array_equal(ye.data, m)
 
@@ -317,19 +315,19 @@ def test_permutation_invariance_bit_exact():
             pe = ag.aggregator_init("attsets_elem", d)
             pe.weights["w"] = Tensor(rng.standard_normal((d, 1)) * 0.3, requires_grad=True)
             base = {
-                "fc": ag.attsets_fc(fset(x), pf)[0].data,
-                "elem": ag.attsets_elem(fset(x), pe)[0].data,
-                "max": ag.pool("max", fset(x)).data,
-                "mean": ag.pool("mean", fset(x)).data,
-                "sum": ag.pool("sum", fset(x)).data,
+                "fc": ag.aggregate(fset(x), pf)[0].data,
+                "elem": ag.aggregate(fset(x), pe)[0].data,
+                "max": pooled("max", x),
+                "mean": pooled("mean", x),
+                "sum": pooled("sum", x),
             }
             for _ in range(10):
                 perm = rng.permutation(n)
                 xp = x[perm]
-                assert np.array_equal(ag.attsets_fc(fset(xp), pf)[0].data, base["fc"])
-                assert np.array_equal(ag.attsets_elem(fset(xp), pe)[0].data, base["elem"])
+                assert np.array_equal(ag.aggregate(fset(xp), pf)[0].data, base["fc"])
+                assert np.array_equal(ag.aggregate(fset(xp), pe)[0].data, base["elem"])
                 for kind in ("max", "mean", "sum"):
-                    assert np.array_equal(ag.pool(kind, fset(xp)).data, base[kind])
+                    assert np.array_equal(pooled(kind, xp), base[kind])
 
 
 def test_conv_permutation_invariance_bit_exact():
@@ -337,10 +335,10 @@ def test_conv_permutation_invariance_bit_exact():
     x = rng.standard_normal((7, 4, 8))
     params = ag.aggregator_init("attsets_conv", 8)
     params.weights["W"] = Tensor(rng.standard_normal((8, 8)) * 0.3, requires_grad=True)
-    base = ag.attsets_conv(ag.FeatureSet(Tensor(x)), params)[0].data
+    base = ag.aggregate(ag.FeatureSet(Tensor(x)), params)[0].data
     for _ in range(10):
         xp = x[rng.permutation(7)]
-        got = ag.attsets_conv(ag.FeatureSet(Tensor(xp)), params)[0].data
+        got = ag.aggregate(ag.FeatureSet(Tensor(xp)), params)[0].data
         assert np.array_equal(got, base)
 
 
@@ -351,11 +349,11 @@ def test_attention_map_invariants_on_random_forwards():
         x = rng.standard_normal((n, d)) * 5.0
         pf = ag.aggregator_init("attsets_fc", d)
         pf.weights["W"] = Tensor(rng.standard_normal((d, d)), requires_grad=True)
-        _, attn = ag.attsets_fc(fset(x), pf)
+        _, attn = ag.aggregate(fset(x), pf)
         attn.validate()
         pe = ag.aggregator_init("attsets_elem", d)
         pe.weights["w"] = Tensor(rng.standard_normal((d, 1)), requires_grad=True)
-        _, attn = ag.attsets_elem(fset(x), pe)
+        _, attn = ag.aggregate(fset(x), pe)
         attn.validate()
 
 
@@ -371,7 +369,7 @@ ATT_CASES = {
 
 def _att_loss(kind, x, w_tensor, rvec):
     params = ag.AggregatorParams(kind, {ATT_CASES[kind][0]: w_tensor})
-    y, _ = getattr(ag, kind)(ag.FeatureSet(Tensor(x)), params)
+    y, _ = ag.aggregate(ag.FeatureSet(Tensor(x)), params)
     return T.reduce_sum(T.ew_binary("mul", T.reshape(y, [y.size]), Tensor(rvec)), 0)
 
 
@@ -418,3 +416,12 @@ def test_aggregate_dispatch_shapes():
         rows, attn = ag.aggregate(ag.SetBatch(Tensor(np.vstack([x, x[:2]])), [3, 2]), params)
         assert rows.data.shape == (2, 5)
         assert attn is None
+
+
+def test_aggregate_unknown_kind():
+    x = np.zeros((3, 2))
+    params = ag.AggregatorParams("median")
+    with pytest.raises(ContractError):
+        ag.aggregate(fset(x), params)
+    with pytest.raises(ContractError):
+        ag.aggregate(ag.SetBatch(Tensor(x), [1, 2]), params)

@@ -236,6 +236,17 @@ def test_wrongly_typed_value_rejected(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("assignment", [
+    'eval.view_counts=["a"]', "eval.view_counts=[[1]]", "eval.view_counts=[1.5]",
+    "eval.view_counts=[true]", 'bench.n_grid=["x"]', 'bench.aggregators=[1,"x"]',
+    "bench.aggregators=[[1]]"])
+def test_wrongly_typed_list_element_rejected(tmp_path, capsys, assignment):
+    code = run("generate", "--out", str(tmp_path), "--set", assignment)
+    assert code == 1
+    key = assignment.split("=")[0]
+    assert f"error: config key {key!r} expects list of" in capsys.readouterr().err
+
+
 def test_config_file_and_override_precedence(tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({

@@ -690,7 +690,7 @@ def test_gru_cell_matches_primitive_chain_bit_for_bit(trained):
     for rows in (1, 3):  # one set's row, and a packed batch of three sets
         xs, h0, ws, rvec = _gru_inputs(np.random.default_rng(300), rows=rows)
         if "h" not in trained:
-            h0 = np.zeros_like(h0)  # the state gru_aggregate starts from
+            h0 = np.zeros_like(h0)  # the state the GRU aggregator starts from
         out, grads, entries = _run_gru(T.gru_cell, xs, h0, ws, rvec, trained)
         ref_out, ref_grads, ref_entries = _run_gru(_gru_chain, xs, h0, ws, rvec, trained)
         assert out.tobytes() == ref_out.tobytes()
