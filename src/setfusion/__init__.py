@@ -23,8 +23,8 @@ from .aggregators import (AGGREGATOR_KINDS, AggregatorParams, AttentionMap, Feat
 from .data import (DatasetMeta, MultiViewSample, ShapeSpec, generate_dataset,
                    load_dataset, make_shape, render_view)
 from .metrics import EvalConfig, EvalReport, eval_sweep, iou, threshold_search
-from .model import (ModelConfig, ParamBundle, VoxelGrid, decode_voxels, encode_view,
-                    load_checkpoint, model_init, predict, save_checkpoint)
+from .model import (ModelConfig, ParamBundle, VoxelGrid, load_checkpoint, model_init, predict,
+                    save_checkpoint)
 from .tensor import Tape, Tensor, backward, finite_diff_grad
 from .training import (TrainConfig, TrainReport, faset_stage1, faset_stage2, finetune,
                        joint_train, optimizer_step, sample_minibatch, single_view_train)
@@ -37,8 +37,8 @@ __all__ = [
     "DatasetMeta", "MultiViewSample", "ShapeSpec", "generate_dataset",
     "load_dataset", "make_shape", "render_view",
     "EvalConfig", "EvalReport", "eval_sweep", "iou", "threshold_search",
-    "ModelConfig", "ParamBundle", "VoxelGrid", "decode_voxels", "encode_view",
-    "load_checkpoint", "model_init", "predict", "save_checkpoint",
+    "ModelConfig", "ParamBundle", "VoxelGrid", "load_checkpoint", "model_init", "predict",
+    "save_checkpoint",
     "Tape", "Tensor", "backward", "finite_diff_grad",
     "TrainConfig", "TrainReport", "faset_stage1", "faset_stage2", "finetune",
     "joint_train", "optimizer_step", "sample_minibatch", "single_view_train",

@@ -152,15 +152,15 @@ def aggregator_init(kind: str, width: int, seed: int = 0) -> AggregatorParams:
         raise ContractError("width must be >= 1")
     weights: dict[str, Tensor] = {}
     if kind in ("attsets_fc", "attsets_conv"):
-        weights["W"] = T.tensor_new([width, width], "zeros", requires_grad=True)
+        weights["W"] = Tensor(np.zeros((width, width)), requires_grad=True)
     elif kind == "attsets_elem":
-        weights["w"] = T.tensor_new([width, 1], "zeros", requires_grad=True)
+        weights["w"] = Tensor(np.zeros((width, 1)), requires_grad=True)
     elif kind == "gru":
         rng = np.random.default_rng(seed)
         for name in ("Wz", "Uz", "Wr", "Ur", "Wh", "Uh"):
             weights[name] = Tensor(rng.uniform(-0.1, 0.1, size=(width, width)), requires_grad=True)
         for name in ("bz", "br", "bh"):
-            weights[name] = T.tensor_new([1, width], "zeros", requires_grad=True)
+            weights[name] = Tensor(np.zeros((1, width)), requires_grad=True)
     return AggregatorParams(kind=kind, weights=weights)
 
 

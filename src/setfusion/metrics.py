@@ -71,19 +71,12 @@ class EvalConfig:
         _check_counts(counts)
 
 
-def _probs_of(pred) -> np.ndarray:
-    if hasattr(pred, "probs"):  # VoxelGrid
-        return pred.probs.data.reshape(-1)
-    arr = np.asarray(pred, dtype=np.float64).reshape(-1)
-    return arr
-
-
 def iou(pred, gt, p: float) -> float:
     """Intersection over union of ``pred`` binarized at ``p`` against a
     binary ground-truth grid."""
     if not 0.0 < p < 1.0:
         raise ContractError(f"threshold must lie in (0, 1), got {p}")
-    hp = _probs_of(pred)
+    hp = np.asarray(pred, dtype=np.float64).reshape(-1)
     ht = np.asarray(gt).reshape(-1) > 0.5
     if hp.size != ht.size:
         raise ShapeError(f"grid sizes differ: {hp.size} vs {ht.size}")
@@ -107,7 +100,7 @@ def _grid_search(pairs) -> tuple[int, float, np.ndarray]:
     pairs = list(pairs)
     if not pairs:
         raise ContractError("threshold search needs at least one (probs, gt) pair")
-    probs = [_probs_of(p) for p, _ in pairs]
+    probs = [np.asarray(p, dtype=np.float64).reshape(-1) for p, _ in pairs]
     truth = [np.asarray(gt).reshape(-1) for _, gt in pairs]
     sizes = sorted({a.size for a in probs + truth})
     if len(sizes) != 1:

@@ -12,15 +12,16 @@ the encoder and decoder layers, ``att`` holds the aggregator weights. The
 two-stage trainer updates exactly one group per stage, so group membership
 never changes after construction.
 
-``predict`` encodes views one at a time (each encode is then bit-identical
-wherever the view sits in the input order), aggregates them as one
-``FeatureSet`` in one ``aggregate`` call, and is pure over an immutable
-bundle, so reordering input views cannot change the output of any
-permutation-invariant aggregator, bit for bit. Training aggregates a whole
-step's sets in one packed call instead (see ``training``), and so does
-evaluation, one call per view count (see ``metrics``); for one set the
-GRU's packed routine has the bits of the plain recurrence, so ``predict``'s
-output does not depend on that batching.
+``predict`` runs ``encode_batch`` on one view row at a time (each encode is
+then bit-identical wherever the view sits in the input order), fuses the
+latents in one ``aggregate`` call and decodes the fused row with one
+``decode_batch`` call. It is pure over an immutable bundle, so reordering
+input views cannot change the output of any permutation-invariant
+aggregator, bit for bit. Training aggregates a whole step's sets in one
+packed call instead (see ``training``), and so does evaluation, one call
+per view count (see ``metrics``); for one set the GRU's packed routine has
+the bits of the plain recurrence, so ``predict``'s output does not depend
+on that batching.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .aggregators import AttentionMap, FeatureSet, aggregate, aggregator_init
+from .aggregators import (AggregatorParams, AttentionMap, FeatureSet, aggregate,
+                          aggregator_init)
 from .errors import ContractError, FormatError, ShapeError
 from .tensor import Tensor
 
@@ -44,8 +46,6 @@ __all__ = [
     "model_init",
     "encode_batch",
     "decode_batch",
-    "encode_view",
-    "decode_voxels",
     "predict",
     "save_checkpoint",
     "load_checkpoint",
@@ -92,10 +92,6 @@ class VoxelGrid:
         if (vals < 0).any() or (vals > 1).any():
             raise ContractError("voxel probabilities must lie in [0, 1]")
 
-    def as_cube(self) -> np.ndarray:
-        g = self.grid_side
-        return self.probs.data.reshape(g, g, g)
-
 
 @dataclass
 class ParamBundle:
@@ -121,14 +117,8 @@ class ParamBundle:
 
     def named(self, group: str = "all"):
         """Deterministic (name, group_tag, tensor) iteration in sorted name order."""
-        tagged = []
-        if group in ("base", "all"):
-            tagged += [(n, "base", t) for n, t in self.base.items()]
-        if group in ("att", "all"):
-            tagged += [(n, "att", t) for n, t in self.att.items()]
-        if group not in ("base", "att", "all"):
-            raise ContractError(f"unknown parameter group {group!r}")
-        return sorted(tagged, key=lambda r: r[0])
+        return sorted(((n, "base" if n in self.base else "att", t)
+                       for n, t in self.group(group).items()), key=lambda r: r[0])
 
     def checksum(self, group: str = "all") -> str:
         h = hashlib.sha256()
@@ -163,15 +153,13 @@ def model_init(cfg: ModelConfig) -> ParamBundle:
     for idx, (name, fan_in, fan_out) in enumerate(_base_layers(cfg)):
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, idx]))
         base[name] = Tensor(_glorot(rng, fan_in, fan_out), requires_grad=True)
-        base[name.replace("w", "b")] = T.tensor_new([1, fan_out], "zeros", requires_grad=True)
+        base[name.replace("w", "b")] = Tensor(np.zeros((1, fan_out)), requires_grad=True)
     agg = aggregator_init(cfg.aggregator_kind, cfg.latent_dim, seed=cfg.seed)
     att = {f"att_{k}": t for k, t in agg.weights.items()}
     return ParamBundle(base=base, att=att, cfg=cfg)
 
 
 def _agg_params(params: ParamBundle):
-    from .aggregators import AggregatorParams
-
     kind = params.cfg.aggregator_kind
     return AggregatorParams(kind, {k.removeprefix("att_"): t for k, t in params.att.items()})
 
@@ -188,13 +176,6 @@ def decode_batch(latents: Tensor, params: ParamBundle) -> Tensor:
     return T.sigmoid(T.add_rowvec(T.matmul(h, params.base["dec_w2"]), params.base["dec_b2"]))
 
 
-def _flat_view(image, side: int) -> Tensor:
-    arr = image.data if isinstance(image, Tensor) else np.asarray(image, dtype=np.float64)
-    if arr.size != side * side:
-        raise ShapeError(f"view has {arr.size} pixels, expected {side}x{side}")
-    return Tensor(arr.reshape(1, side * side))
-
-
 def _view_rows(views, params: ParamBundle) -> list[Tensor]:
     """The views of one prediction as [1, image_side^2] rows, after the
     checks every prediction path makes: the bundle has a model config, there
@@ -207,22 +188,12 @@ def _view_rows(views, params: ParamBundle) -> list[Tensor]:
         raise ContractError("predict needs at least one view")
     if len(views) > cfg.max_views:
         raise ContractError(f"{len(views)} views exceed the configured maximum {cfg.max_views}")
-    return [_flat_view(v, cfg.image_side) for v in views]
-
-
-def encode_view(image, params: ParamBundle) -> Tensor:
-    """Latent vector for a single image_side x image_side view."""
-    cfg = params.cfg
-    lat = encode_batch(_flat_view(image, cfg.image_side), params)
-    return T.reshape(lat, [cfg.latent_dim])
-
-
-def decode_voxels(latent: Tensor, params: ParamBundle) -> VoxelGrid:
-    cfg = params.cfg
-    if latent.size != cfg.latent_dim:
-        raise ShapeError(f"latent width {latent.size} != {cfg.latent_dim}")
-    probs = decode_batch(T.reshape(latent, [1, cfg.latent_dim]), params)
-    return VoxelGrid(T.reshape(probs, [cfg.voxel_count]), cfg.grid_side)
+    side = cfg.image_side
+    arrs = [v.data if isinstance(v, Tensor) else np.asarray(v, dtype=np.float64) for v in views]
+    for arr in arrs:
+        if arr.size != side * side:
+            raise ShapeError(f"view has {arr.size} pixels, expected {side}x{side}")
+    return [Tensor(arr.reshape(1, side * side)) for arr in arrs]
 
 
 def predict(views, params: ParamBundle) -> tuple[VoxelGrid, AttentionMap | None]:
@@ -230,10 +201,11 @@ def predict(views, params: ParamBundle) -> tuple[VoxelGrid, AttentionMap | None]
 
     The attention map is returned only for attention aggregators.
     """
-    latents = [encode_view(row, params) for row in _view_rows(views, params)]
-    fset = FeatureSet(T.stack_rows(latents))
-    fused, attn = aggregate(fset, _agg_params(params))
-    return decode_voxels(fused, params), attn
+    cfg = params.cfg
+    latents = [encode_batch(row, params) for row in _view_rows(views, params)]
+    fused, attn = aggregate(FeatureSet(T.stack_rows(latents)), _agg_params(params))
+    probs = decode_batch(T.reshape(fused, [1, cfg.latent_dim]), params)
+    return VoxelGrid(T.reshape(probs, [cfg.voxel_count]), cfg.grid_side), attn
 
 
 # --------------------------------------------------------------- checkpoint
@@ -318,6 +290,8 @@ def load_checkpoint(path, cfg: ModelConfig | None = None) -> ParamBundle:
             name = str(r.take(name_len, "name"), "utf-8")
         except UnicodeDecodeError:
             raise FormatError("tensor name is not valid UTF-8", offset=name_off) from None
+        if any(name in g for g in groups.values()):
+            raise FormatError(f"tensor name {name!r} repeats an earlier one", offset=name_off)
         tag_byte = r.take(1, "group tag")[0]
         if tag_byte not in _TAG_GROUPS:
             raise FormatError(f"unknown group tag {tag_byte}", offset=r.off - 1)

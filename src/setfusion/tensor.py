@@ -24,9 +24,9 @@ rest of the package leans on:
   therefore freed by reference counting as soon as its tape is dropped
   (in training, when the next step's ``Tape()`` replaces it), with no
   wait for a cyclic garbage collection.
-* ``matmul_rows`` computes each output row with an independent BLAS call:
-  a row's bits then cannot depend on where it sits in the stack (plain
-  gemm does not guarantee that).
+* ``matmul_rows`` computes each output row as its own [1,K] @ [K,P]
+  product in one stacked numpy call: a row's bits then cannot depend on
+  where it sits in the stack (plain gemm does not guarantee that).
 * ``gru_cell`` is one GRU step over a batch of rows as a single primitive
   with a hand-derived backward, bit-identical to the same step spelled out
   in primitives, so a recurrent step costs one tape entry however many sets
@@ -49,11 +49,9 @@ from .errors import ContractError, NumericOverflowError, ShapeError
 __all__ = [
     "Tensor",
     "Tape",
-    "tensor_new",
     "matmul",
     "matmul_rows",
     "ew_binary",
-    "map_unary",
     "sigmoid",
     "relu",
     "softmax_set",
@@ -249,30 +247,6 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
         raise NumericOverflowError(f"{op} produced a non-finite value")
 
 
-def tensor_new(shape: Sequence[int], init: str = "zeros", *, value: float = 0.0,
-               lo: float = 0.0, hi: float = 1.0, seed: int = 0,
-               requires_grad: bool = False) -> Tensor:
-    """Allocate a tensor of the given extents.
-
-    ``init`` is one of ``zeros``, ``constant`` (uses ``value``) or
-    ``uniform`` (uses ``lo``, ``hi``, ``seed``; deterministic per seed).
-    """
-    shape = tuple(int(s) for s in shape)
-    if any(s < 1 for s in shape):
-        raise ShapeError(f"extents must be >= 1, got {list(shape)}")
-    if init == "zeros":
-        data = np.zeros(shape)
-    elif init == "constant":
-        data = np.full(shape, float(value))
-    elif init == "uniform":
-        if not lo < hi:
-            raise ContractError(f"uniform init needs lo < hi, got [{lo}, {hi})")
-        data = np.random.default_rng(seed).uniform(lo, hi, size=shape)
-    else:
-        raise ContractError(f"unknown init {init!r}")
-    return Tensor(data, requires_grad=requires_grad)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of a [M,K] by a [K,P] tensor."""
     if a.data.ndim != 2 or b.data.ndim != 2:
@@ -299,8 +273,9 @@ def matmul_rows(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul_rows needs rank-2 operands, got {list(a.shape)} x {list(b.shape)}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"inner extents disagree: {list(a.shape)} x {list(b.shape)}")
-    rows = [a.data[i : i + 1] @ b.data for i in range(a.shape[0])]
-    out = Tensor(np.vstack(rows))
+    # One [1,K] @ [K,P] product per row, with the bits of ``a[i:i+1] @ b`` for
+    # every layout of ``a``; a contiguous copy of a strided ``a`` would lose them.
+    out = Tensor(np.matmul(a.data[:, None, :], b.data)[:, 0, :])
     _check_finite(out.data, "matmul_rows")
 
     def bwd(g, need):
@@ -339,24 +314,6 @@ def ew_binary(op: str, a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), bwd)
 
 
-def map_unary(op: str, a: Tensor) -> Tensor:
-    """Elementwise sigmoid or relu."""
-    x = a.data
-    if op == "sigmoid":
-        y = _sigmoid(x)
-        def bwd(g, need, y=y):
-            return (g * y * (1.0 - y),)
-    elif op == "relu":
-        y = np.maximum(x, 0.0)
-        def bwd(g, need, x=x):
-            return (g * (x > 0.0),)
-    else:
-        raise ContractError(f"unknown unary op {op!r}")
-    out = Tensor(y)
-    _check_finite(out.data, op)
-    return _record(out, (a,), bwd)
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # exp(-|x|) cannot overflow; one exp serves both branches
     e = np.exp(-np.abs(x))
@@ -365,11 +322,27 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    return map_unary("sigmoid", a)
+    """Elementwise logistic function."""
+    y = _sigmoid(a.data)
+    out = Tensor(y)
+    _check_finite(out.data, "sigmoid")
+
+    def bwd(g, need):
+        return (g * y * (1.0 - y),)
+
+    return _record(out, (a,), bwd)
 
 
 def relu(a: Tensor) -> Tensor:
-    return map_unary("relu", a)
+    """Elementwise max(x, 0); the gradient at 0 is 0."""
+    x = a.data
+    out = Tensor(np.maximum(x, 0.0))
+    _check_finite(out.data, "relu")
+
+    def bwd(g, need):
+        return (g * (x > 0.0),)
+
+    return _record(out, (a,), bwd)
 
 
 def _sorted_axis0_sum(arr: np.ndarray) -> np.ndarray:

@@ -57,52 +57,51 @@ def test_bundle_rejects_overlapping_names():
 
 def test_encode_zero_image_zero_bias_gives_zero_latent():
     params = M.model_init(tiny_cfg())
-    lat = M.encode_view(np.zeros((4, 4)), params)
-    assert np.array_equal(lat.data, np.zeros(8))
+    lat = M.encode_batch(Tensor(np.zeros((1, 16))), params)
+    assert np.array_equal(lat.data, np.zeros((1, 8)))
 
 
 def test_encode_is_pure():
     rng = np.random.default_rng(0)
     params = M.model_init(tiny_cfg())
-    img = rng.uniform(0, 1, (4, 4))
-    assert np.array_equal(M.encode_view(img, params).data, M.encode_view(img, params).data)
+    img = Tensor(rng.uniform(0, 1, (1, 16)))
+    assert np.array_equal(M.encode_batch(img, params).data, M.encode_batch(img, params).data)
 
 
 def test_encode_distinct_images_differ():
     rng = np.random.default_rng(1)
     params = M.model_init(tiny_cfg())
-    a = M.encode_view(rng.uniform(0, 1, (4, 4)), params).data
-    b = M.encode_view(rng.uniform(0, 1, (4, 4)), params).data
+    a = M.encode_batch(Tensor(rng.uniform(0, 1, (1, 16))), params).data
+    b = M.encode_batch(Tensor(rng.uniform(0, 1, (1, 16))), params).data
     assert not np.array_equal(a, b)
 
 
 def test_encode_rejects_wrong_side():
     params = M.model_init(tiny_cfg())
     with pytest.raises(ShapeError):
-        M.encode_view(np.zeros((5, 5)), params)
+        M.predict([np.zeros((5, 5))], params)
 
 
 def test_decode_zero_latent_zero_weights_gives_half():
     params = M.model_init(tiny_cfg())
     for name in ("dec_w1", "dec_b1", "dec_w2", "dec_b2"):
         params.base[name] = Tensor(np.zeros_like(params.base[name].data), requires_grad=True)
-    grid = M.decode_voxels(Tensor(np.zeros(8)), params)
-    assert np.array_equal(grid.probs.data, np.full(64, 0.5))
+    probs = M.decode_batch(Tensor(np.zeros((1, 8))), params)
+    assert np.array_equal(probs.data, np.full((1, 64), 0.5))
 
 
 def test_decode_output_in_open_unit_interval():
     rng = np.random.default_rng(2)
     params = M.model_init(tiny_cfg())
-    grid = M.decode_voxels(Tensor(rng.standard_normal(8) * 5), params)
-    assert ((grid.probs.data > 0) & (grid.probs.data < 1)).all()
+    probs = M.decode_batch(Tensor(rng.standard_normal((1, 8)) * 5), params)
+    assert ((probs.data > 0) & (probs.data < 1)).all()
 
 
 def test_decode_is_pure():
     rng = np.random.default_rng(3)
     params = M.model_init(tiny_cfg())
-    lat = Tensor(rng.standard_normal(8))
-    assert np.array_equal(M.decode_voxels(lat, params).probs.data,
-                          M.decode_voxels(lat, params).probs.data)
+    lat = Tensor(rng.standard_normal((1, 8)))
+    assert np.array_equal(M.decode_batch(lat, params).data, M.decode_batch(lat, params).data)
 
 
 def test_voxelgrid_validates_length():
@@ -235,6 +234,23 @@ def test_checkpoint_non_utf8_name_reports_offset(tmp_path):
     with pytest.raises(FormatError, match="UTF-8") as exc:
         M.load_checkpoint(path)
     assert exc.value.offset == 16
+
+
+def test_checkpoint_repeated_name_reports_offset(tmp_path):
+    cfg = tiny_cfg()
+    params = M.model_init(cfg)
+    path = tmp_path / "model.sfck"
+    M.save_checkpoint(params, path)
+    blob = bytearray(path.read_bytes())
+    count = int.from_bytes(blob[8:12], "little")
+    blob[8:12] = (count + 1).to_bytes(4, "little")
+    name_off = len(blob) + 4  # after the appended record's name length
+    blob += (6).to_bytes(4, "little") + b"enc_b1" + bytes([0]) + (2).to_bytes(4, "little")
+    blob += (1).to_bytes(4, "little") + (12).to_bytes(4, "little") + np.ones(12).tobytes()
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match="enc_b1") as exc:
+        M.load_checkpoint(path, cfg=cfg)
+    assert exc.value.offset == name_off
 
 
 def test_checkpoint_rank_beyond_numpy_reports_offset(tmp_path):

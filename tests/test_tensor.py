@@ -33,40 +33,10 @@ def scalarize(weights):
     return to_scalar
 
 
-# ---------------------------------------------------------------- tensor_new
-
-def test_new_zeros():
-    t = T.tensor_new([2, 2], "zeros")
-    assert t.shape == (2, 2)
-    assert np.array_equal(t.data, np.zeros((2, 2)))
-
-
-def test_new_constant():
-    t = T.tensor_new([3], "constant", value=1.5)
-    assert np.array_equal(t.data, [1.5, 1.5, 1.5])
-
-
-def test_new_uniform_deterministic():
-    a = T.tensor_new([4], "uniform", lo=-1, hi=1, seed=7)
-    b = T.tensor_new([4], "uniform", lo=-1, hi=1, seed=7)
-    assert np.array_equal(a.data, b.data)
-    c = T.tensor_new([4], "uniform", lo=-1, hi=1, seed=8)
-    assert not np.array_equal(a.data, c.data)
-
-
-@pytest.mark.parametrize("shape", [[0], [2, 0], [-1]])
-def test_new_bad_extent(shape):
-    with pytest.raises(ShapeError):
-        T.tensor_new(shape)
-
-
-def test_new_uniform_bad_range():
-    with pytest.raises(ContractError):
-        T.tensor_new([2], "uniform", lo=1.0, hi=1.0)
-
+# ------------------------------------------------------------------ Tensor
 
 def test_invariant_size_matches_shape():
-    t = T.tensor_new([3, 4, 2], "uniform", lo=0, hi=1, seed=0)
+    t = T.Tensor(np.random.default_rng(0).uniform(0, 1, (3, 4, 2)))
     assert len(t.values) == 3 * 4 * 2
 
 
@@ -115,6 +85,19 @@ def test_matmul_rows_bit_stable_under_row_permutation():
         assert np.array_equal(cp, c[perm])
 
 
+def test_matmul_rows_bits_equal_the_per_row_loop():
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        n, k, p = (int(v) for v in rng.integers(1, 70, 3))
+        b = rng.standard_normal((k, p))
+        for a in (rng.standard_normal((n, k)),
+                  rng.standard_normal((k, n)).T,  # transposed view: rows are strided
+                  np.asfortranarray(rng.standard_normal((n, k))),
+                  rng.standard_normal((n, 2 * k))[:, ::2]):
+            want = np.vstack([a[i : i + 1] @ b for i in range(n)])
+            assert T.matmul_rows(T.Tensor(a), T.Tensor(b)).data.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------- ew_binary
 
 def test_ew_mul_small():
@@ -143,7 +126,7 @@ def test_ew_shape_mismatch():
         T.ew_binary("add", T.Tensor([1.0, 2.0]), T.Tensor([1.0, 2.0, 3.0]))
 
 
-# ---------------------------------------------------------------- map_unary
+# ------------------------------------------------------------ sigmoid/relu
 
 def test_unary_values():
     assert T.sigmoid(T.Tensor([0.0])).data[0] == 0.5
