@@ -8,7 +8,9 @@ ambiguous (occluded regions are invisible), so extra views measurably help
 -- the property the robustness experiments need.
 
 Ray table (direction index -> march rule; ``cell(p) = floor(p*G/side)``
-maps a pixel coordinate to a voxel cell):
+maps a pixel coordinate to a voxel cell). ``_ray_voxels`` holds the same
+table as code, and ``_ray_table`` turns it once per G into a gather table of
+flat voxel indices, so one gather renders all eight views of a sample:
 
     0  +x   pixel (a,b) -> (y,z) = (cell(a), cell(b)); visits (s, y, z)
     1  -x   same pixel mapping; visits (G-1-s, y, z)
@@ -21,7 +23,8 @@ maps a pixel coordinate to a voxel cell):
 
 ``s`` counts march steps from the entry face; the first occupied voxel at
 step s yields depth ``1 - s/G`` and a miss yields 0, so every recorded
-depth lies in (0, 1] and 0 unambiguously means "empty ray".
+depth lies in (0, 1] and 0 unambiguously means "empty ray". A diagonal
+step past the grid visits an empty voxel.
 
 File format (all integers little-endian):
 
@@ -31,11 +34,14 @@ File format (all integers little-endian):
       K images as image_side^2 float64 values.
 
 Train ids are 0..train_count-1 and test ids continue from train_count, so
-the two splits can never share a sample.
+the two splits can never share a sample. The loader checks every sample
+id, every occupancy byte and every depth value, and raises ``FormatError``
+at the byte offset of the first bad field.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 from dataclasses import dataclass
@@ -107,7 +113,7 @@ def rasterize(spec: ShapeSpec, grid_side: int) -> np.ndarray:
     center does."""
     g = grid_side
     centers = np.arange(g) + 0.5
-    cx, cy, cz = np.meshgrid(centers, centers, centers, indexing="ij")
+    cx, cy, cz = centers[:, None, None], centers[None, :, None], centers[None, None, :]
     occ = np.zeros((g, g, g), dtype=bool)
     for prim in spec.primitives:
         kind = prim[0]
@@ -145,57 +151,58 @@ def make_shape(seed: int, index: int, grid_side: int = 16) -> tuple[ShapeSpec, n
                 prims.append(("sphere", center, float(rng.uniform(0.22 * g, 0.34 * g))))
         spec = ShapeSpec(prims)
         occ = rasterize(spec, g)
-        frac = occ.mean()
+        frac = np.count_nonzero(occ) / occ.size
         if OCCUPANCY_LO <= frac <= OCCUPANCY_HI:
             return spec, occ
     raise GenerationError(
         f"no shape within occupancy [{OCCUPANCY_LO}, {OCCUPANCY_HI}] after {MAX_ATTEMPTS} attempts")
 
 
-def _march_stack(occ: np.ndarray, direction: int) -> np.ndarray:
-    """[G, A, B] boolean stack: entry s is the slice of voxels visited at
-    march step s, indexed by the pixel cell (a, b)."""
-    g = occ.shape[0]
-    if direction == 0:
-        return occ.astype(bool)
-    if direction == 1:
-        return occ[::-1].astype(bool)
-    if direction == 2:
-        return occ.transpose(1, 0, 2).astype(bool)
-    if direction == 3:
-        return occ.transpose(1, 0, 2)[::-1].astype(bool)
-    if direction == 4:
-        return occ.transpose(2, 0, 1).astype(bool)
-    if direction == 5:
-        return occ.transpose(2, 0, 1)[::-1].astype(bool)
-    stack = np.zeros((g, g, g), dtype=bool)
-    if direction == 6:
-        for s in range(g):
-            stack[s, : g - s, :] = occ[s:, s, :]
-        return stack
-    if direction == 7:
-        for s in range(g):
-            stack[s, : g - s, :] = occ[s:, :, s]
-        return stack
-    raise ContractError(f"direction must be 0..{VIEW_COUNT - 1}, got {direction}")
+def _ray_voxels(s, a, b, g):
+    """The ray table above: the voxel (x, y, z) that each direction's ray
+    through pixel cell (a, b) visits at march step s."""
+    return ((s, a, b), (g - 1 - s, a, b), (a, s, b), (a, g - 1 - s, b),
+            (a, b, s), (a, b, g - 1 - s), (a + s, s, b), (a + s, b, s))
 
 
-def render_view(occ: np.ndarray, direction: int, image_side: int = 16) -> np.ndarray:
-    """Orthographic depth image for one direction of the ray table."""
+@functools.lru_cache(maxsize=4)
+def _ray_table(g: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only gather table [8, G, G, G] of flat indices into an
+    occupancy grid padded with one empty voxel at index G^3, entry
+    [d, s, a, b] being the voxel of ``_ray_voxels``; and the step codes
+    [G, 1, 1], G - s at step s, so a ray's largest code marks its first
+    hit. The table is 8 G^3 intp, 256 KB at G = 16: a narrower index
+    dtype would be cast back to intp on every gather."""
+    s, a, b = np.ogrid[:g, :g, :g]
+    table = np.empty((VIEW_COUNT, g, g, g), dtype=np.intp)
+    for d, (x, y, z) in enumerate(_ray_voxels(s, a, b, g)):
+        table[d] = np.where((x < g) & (y < g) & (z < g), (x * g + y) * g + z, g ** 3)
+    codes = np.arange(g, 0, -1, dtype=np.min_scalar_type(g))[:, None, None]
+    table.flags.writeable = codes.flags.writeable = False
+    return table, codes
+
+
+def render_all_views(occ: np.ndarray, image_side: int = 16) -> np.ndarray:
+    """[8, side, side] orthographic depth images, one per direction of the
+    ray table, from one gather over the padded grid."""
     occ = np.asarray(occ)
     g = occ.shape[0]
     if occ.shape != (g, g, g):
         raise ContractError(f"occupancy must be a cube, got {occ.shape}")
-    stack = _march_stack(occ, direction)
-    hit = stack.any(axis=0)
-    first = stack.argmax(axis=0)
-    cell_depth = np.where(hit, 1.0 - first / g, 0.0)
+    table, codes = _ray_table(g)
+    padded = np.zeros(g ** 3 + 1, dtype=bool)
+    np.not_equal(occ.reshape(-1), 0, out=padded[:-1])
+    code = (padded[table] * codes).max(axis=1)
     cells = (np.arange(image_side) * g) // image_side
-    return cell_depth[np.ix_(cells, cells)]
+    first = g - code[:, cells[:, None], cells]  # a miss reads g
+    return 1.0 - first / g
 
 
-def render_all_views(occ: np.ndarray, image_side: int = 16) -> np.ndarray:
-    return np.stack([render_view(occ, d, image_side) for d in range(VIEW_COUNT)])
+def render_view(occ: np.ndarray, direction: int, image_side: int = 16) -> np.ndarray:
+    """Orthographic depth image for one direction of the ray table."""
+    if direction not in range(VIEW_COUNT):
+        raise ContractError(f"direction must be 0..{VIEW_COUNT - 1}, got {direction}")
+    return render_all_views(occ, image_side)[direction]
 
 
 # ----------------------------------------------------------------- file I/O
@@ -300,17 +307,30 @@ def load_dataset(path) -> tuple[list[MultiViewSample], DatasetMeta]:
         raise FormatError(
             f"expected {expected} bytes for {n_samples} samples, found {len(blob)}",
             offset=min(len(blob), expected))
-    samples = []
-    off = 48
-    for _ in range(n_samples):
-        (sample_id,) = struct.unpack("<Q", blob[off : off + 8])
-        off += 8
-        gt = np.frombuffer(blob, dtype=np.uint8, count=g ** 3, offset=off).copy()
-        if not np.isin(gt, (0, 1)).all():
-            raise FormatError("occupancy bytes must be 0 or 1", offset=off)
-        off += g ** 3
-        views = np.frombuffer(blob, dtype="<f8", count=k * side * side, offset=off)
-        views = views.reshape(k, side, side).copy()
-        off += k * side * side * 8
-        samples.append(MultiViewSample(sample_id=sample_id, views=views, gt=gt))
+    block = np.frombuffer(blob, count=n_samples, offset=48, dtype=np.dtype([
+        ("id", "<u8"), ("gt", np.uint8, (g ** 3,)), ("views", "<f8", (k, side, side))]))
+    first_id = 0 if split == 0 else train_count
+    ids = block["id"]
+    gts = np.ascontiguousarray(block["gt"])
+    views = np.ascontiguousarray(block["views"])
+    faults = []  # (offset, message) of each check's first bad field
+    bad = np.flatnonzero(ids != np.arange(n_samples, dtype=np.uint64) + np.uint64(first_id))
+    if bad.size:
+        i = int(bad[0])
+        faults.append((48 + i * rec, f"sample {i} has id {ids[i]}, expected {first_id + i}"))
+    if gts.max(initial=0) > 1:
+        i = int(np.argmax(gts.max(axis=1) > 1))
+        faults.append((48 + i * rec + 8, "occupancy bytes must be 0 or 1"))
+    # min and max propagate NaN, which fails both comparisons
+    if not (views.min(initial=0.0) >= 0.0 and views.max(initial=0.0) <= 1.0):
+        flat = views.reshape(-1)
+        at = int(np.argmin((flat >= 0.0) & (flat <= 1.0)))
+        i, j = divmod(at, k * side * side)
+        faults.append((48 + i * rec + 8 + g ** 3 + 8 * j,
+                       f"depth {float(flat[at])!r} of sample {i} is not within [0, 1]"))
+    if faults:
+        offset, message = min(faults)
+        raise FormatError(message, offset=offset)
+    samples = [MultiViewSample(sample_id=int(ids[i]), views=views[i], gt=gts[i])
+               for i in range(n_samples)]
     return samples, meta

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,36 @@ def test_centered_box_occupies_one_eighth():
     occ = D.rasterize(spec, g)
     assert occ.sum() == (g // 2) ** 3
     assert occ.mean() == pytest.approx(1.0 / 8.0)
+
+
+def _rasterize_per_voxel(spec, g):
+    """Reference: test each voxel center against each primitive in Python."""
+    occ = np.zeros((g, g, g), dtype=np.uint8)
+    for i in range(g):
+        for j in range(g):
+            for k in range(g):
+                p = (i + 0.5, j + 0.5, k + 0.5)
+                for kind, center, size in spec.primitives:
+                    d = [p[t] - float(center[t]) for t in range(3)]
+                    if kind == "box":
+                        inside = all(abs(d[t]) <= float(size[t]) for t in range(3))
+                    else:
+                        inside = d[0] * d[0] + d[1] * d[1] + d[2] * d[2] <= size * size
+                    if inside:
+                        occ[i, j, k] = 1
+    return occ
+
+
+@pytest.mark.parametrize("g", [5, 16])
+def test_rasterize_matches_per_voxel_loop(g):
+    # each primitive has voxel centers exactly on its surface
+    box = ("box", np.array([g / 2, g // 2 + 0.5, g // 2 + 0.5]), np.array([g / 2 - 1.5, 1.0, 2.0]))
+    sphere = ("sphere", np.full(3, g // 2 + 0.5), float(3 * g // 8))
+    for prims in ([box], [sphere], [box, sphere]):
+        spec = D.ShapeSpec(prims)
+        occ = D.rasterize(spec, g)
+        assert occ.dtype == np.uint8 and occ.any()
+        assert occ.tobytes() == _rasterize_per_voxel(spec, g).tobytes()
 
 
 def test_make_shape_deterministic():
@@ -83,9 +115,59 @@ def test_render_single_voxel_diagonals():
     assert np.array_equal(img7, expected)
 
 
+# the module docstring's ray table: voxel (x, y, z) visited at step s by
+# the ray through pixel cell (a, b), per direction
+DOC_RAYS = [
+    lambda s, a, b, g: (s, a, b),
+    lambda s, a, b, g: (g - 1 - s, a, b),
+    lambda s, a, b, g: (a, s, b),
+    lambda s, a, b, g: (a, g - 1 - s, b),
+    lambda s, a, b, g: (a, b, s),
+    lambda s, a, b, g: (a, b, g - 1 - s),
+    lambda s, a, b, g: (a + s, s, b),
+    lambda s, a, b, g: (a + s, b, s),
+]
+
+
+def _march_per_ray(occ, side):
+    """Reference: march each ray one voxel at a time in Python."""
+    g = occ.shape[0]
+    cube = occ.tolist()
+    depth = np.zeros((len(DOC_RAYS), g, g))  # per direction and pixel cell
+    for d, ray in enumerate(DOC_RAYS):
+        for a in range(g):
+            for b in range(g):
+                for s in range(g):
+                    x, y, z = ray(s, a, b, g)
+                    if x < g and y < g and z < g and cube[x][y][z]:
+                        depth[d, a, b] = 1.0 - s / g
+                        break
+    views = np.zeros((len(DOC_RAYS), side, side))
+    for i in range(side):
+        for j in range(side):
+            views[:, i, j] = depth[:, i * g // side, j * g // side]
+    return views
+
+
+@pytest.mark.parametrize("g,side", [(16, 16), (8, 12), (12, 8), (16, 32)])
+def test_render_all_views_matches_per_ray_march(g, side):
+    for index in range(50):
+        _, occ = D.make_shape(5, index, g)
+        assert D.render_all_views(occ, side).tobytes() == _march_per_ray(occ, side).tobytes()
+
+
 def test_render_invalid_direction():
-    with pytest.raises(ContractError):
-        D.render_view(np.zeros((4, 4, 4)), 8, 4)
+    for direction in (-1, 8):
+        with pytest.raises(ContractError):
+            D.render_view(np.zeros((4, 4, 4)), direction, 4)
+
+
+def test_render_rejects_non_cube():
+    occ = np.zeros((4, 4, 5), dtype=np.uint8)
+    with pytest.raises(ContractError, match="cube"):
+        D.render_view(occ, 0, 4)
+    with pytest.raises(ContractError, match="cube"):
+        D.render_all_views(occ, 4)
 
 
 def test_nearer_voxel_wins():
@@ -145,6 +227,19 @@ def test_rerender_from_loaded_grid_matches_stored_views(small_dataset):
         assert np.array_equal(D.render_all_views(occ, meta.image_side), s.views)
 
 
+def test_generated_bytes_match_golden_digest(tmp_path):
+    """Pins every byte the generator writes for one small meta. Digests
+    recorded with numpy 2.4.6; a change to the shapes, the renderer or the
+    format changes them and must regenerate them on purpose."""
+    D.generate_dataset(D.DatasetMeta(train_count=24, test_count=8, seed=3), tmp_path)
+    digests = {split: hashlib.sha256((tmp_path / f"{split}.sfds").read_bytes()).hexdigest()
+               for split in ("train", "test")}
+    assert digests == {
+        "train": "c33083cf97d523b1c5eba00418777ddbf4b0c0802878ff5362ad97f806ec9721",
+        "test": "504f8a7153afeb88b9a948646ce372483b9f171da0d5df7ebee9fbdf1ee57f83",
+    }
+
+
 def test_default_meta_is_08_02_split():
     meta = D.DatasetMeta()
     assert meta.train_count == 2000 and meta.test_count == 500
@@ -179,6 +274,54 @@ def test_load_reports_truncation_offset(small_dataset, tmp_path):
     with pytest.raises(FormatError) as exc:
         D.load_dataset(bad)
     assert exc.value.offset is not None
+
+
+def _record_size(meta):
+    return 8 + meta.grid_side ** 3 + meta.view_count * meta.image_side ** 2 * 8
+
+
+def _load_patched(src, tmp_path, *patches):
+    """Load ``src`` with each (offset, bytes) patch applied; return the
+    FormatError it must raise."""
+    blob = bytearray(src.read_bytes())
+    for offset, data in patches:
+        blob[offset : offset + len(data)] = data
+    bad = tmp_path / "patched.sfds"
+    bad.write_bytes(bytes(blob))
+    with pytest.raises(FormatError) as exc:
+        D.load_dataset(bad)
+    return exc.value
+
+
+def test_load_rejects_wrong_sample_id(small_dataset, tmp_path):
+    out, meta, _ = small_dataset
+    rec = _record_size(meta)
+    # train ids run from 0: sample 2 relabelled as id 1
+    off = 48 + 2 * rec
+    err = _load_patched(out / "train.sfds", tmp_path, (off, (1).to_bytes(8, "little")))
+    assert err.offset == off and "expected 2" in str(err)
+    # test ids continue from train_count: sample 0 relabelled as id 0
+    err = _load_patched(out / "test.sfds", tmp_path, (48, (0).to_bytes(8, "little")))
+    assert err.offset == 48 and f"expected {meta.train_count}" in str(err)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -0.5, 1.5])
+def test_load_rejects_bad_depth(small_dataset, tmp_path, value):
+    out, meta, _ = small_dataset
+    rec = _record_size(meta)
+    off = 48 + rec + 8 + meta.grid_side ** 3 + 8 * 37  # sample 1, depth 37
+    err = _load_patched(out / "train.sfds", tmp_path, (off, np.array([value], "<f8").tobytes()))
+    assert err.offset == off and "[0, 1]" in str(err)
+
+
+def test_load_reports_first_bad_field(small_dataset, tmp_path):
+    out, meta, _ = small_dataset
+    rec = _record_size(meta)
+    wrong_id = (48 + 3 * rec, (9).to_bytes(8, "little"))  # sample 3
+    bad_occupancy = (48 + rec + 8 + 5, b"\x02")  # sample 1
+    err = _load_patched(out / "train.sfds", tmp_path, wrong_id, bad_occupancy)
+    assert "occupancy" in str(err)
+    assert err.offset == 48 + rec + 8  # the start of sample 1's gt block
 
 
 def test_report_has_informativeness_probe(small_dataset):
