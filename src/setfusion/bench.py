@@ -20,7 +20,7 @@ import gc
 import json
 import platform
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,6 +44,8 @@ class BenchConfig:
     def validate(self) -> None:
         if self.repeats < 30 or self.warmups < 5:
             raise ContractError("benchmark needs >= 30 repetitions after >= 5 warmups")
+        if self.inner_loops < 1:
+            raise ContractError(f"bench.inner_loops must be >= 1, got {self.inner_loops}")
         grid = list(self.n_grid)
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])) or grid[0] < 1:
             raise ContractError("n_grid must be non-empty, strictly increasing and >= 1")
@@ -97,15 +99,12 @@ def _timed_ms(fn, inner_loops: int) -> float:
 
 def run_bench(cfg: BenchConfig, model_cfg: ModelConfig | None = None) -> BenchReport:
     cfg.validate()
-    if model_cfg is None:
-        model_cfg = ModelConfig(max_views=max(cfg.n_grid))
-    if model_cfg.max_views < max(cfg.n_grid):
-        raise ContractError("pipeline max_views below the largest benchmarked set size")
+    model_cfg = model_cfg or ModelConfig()
     cells = []  # (aggregator, n)
     fns = []  # two per cell: aggregation only, then the full forward
     for kind in cfg.aggregators:
         agg_params = aggregator_init(kind, model_cfg.latent_dim, seed=cfg.seed)
-        pipe_cfg = ModelConfig(**{**vars(model_cfg), "aggregator_kind": kind})
+        pipe_cfg = replace(model_cfg, aggregator_kind=kind, max_views=max(cfg.n_grid))
         pipe = model_init(pipe_cfg)
         for n in cfg.n_grid:
             rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, n]))

@@ -12,7 +12,6 @@ error, 3 selftest failure, 4 numeric overflow in training.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -81,11 +80,11 @@ def _load_split(cfg, split: str):
     if not path.exists():
         raise OSError(f"missing dataset file {path}; run `setfusion generate` first")
     samples, meta = load_dataset(path)
-    model_cfg = cfg.model
-    if meta.grid_side != model_cfg.grid_side or meta.image_side != model_cfg.image_side:
+    data = cfg.data
+    if (meta.grid_side, meta.image_side) != (data.grid_side, data.image_side):
         raise ContractError(
-            f"model grid/image sides ({model_cfg.grid_side}, {model_cfg.image_side}) do not "
-            f"match dataset ({meta.grid_side}, {meta.image_side})")
+            f"data.grid_side and data.image_side ({data.grid_side}, {data.image_side}) do not "
+            f"match dataset {path} ({meta.grid_side}, {meta.image_side})")
     return samples, meta
 
 
@@ -130,7 +129,6 @@ def cmd_eval(args) -> int:
     from .model import load_checkpoint
 
     cfg, out_dir = _resolve(args)
-    cfg.eval.validate()  # before the split and the checkpoint are read
     testset, _ = _load_split(cfg, "test")
     ck = cfg.paths["checkpoint"] or str(out_dir / "stage2.sfck")
     if not Path(ck).exists():
@@ -149,10 +147,7 @@ def cmd_bench(args) -> int:
     from .bench import run_bench
 
     cfg, out_dir = _resolve(args)
-    bench_cfg = cfg.bench
-    bench_cfg.validate()  # before the grid is read
-    pipe_cfg = dataclasses.replace(cfg.model, max_views=max(bench_cfg.n_grid))
-    report = run_bench(bench_cfg, model_cfg=pipe_cfg)
+    report = run_bench(cfg.bench, model_cfg=cfg.model)
     (out_dir / "bench.csv").write_text(report.to_csv())
     (out_dir / "bench.json").write_text(report.to_json())
     print(report.to_csv(), end="")

@@ -4,14 +4,16 @@ A config document has up to six sections (``data``, ``model``, ``train``,
 ``eval``, ``bench``, ``paths``). The keys of the first five are the
 fields of their dataclasses (``DatasetMeta``, ``ModelConfig``,
 ``TrainConfig``, ``EvalConfig``, ``BenchConfig``), with those fields'
-defaults; ``DatasetMeta``'s ``view_count``, ``version`` and ``split`` are
-fixed by the build or the loader and are not config keys. A config file
+defaults, but for ``data.split`` (set by the loader) and the model's
+sides, which are ``data.grid_side`` and ``data.image_side``. A config file
 overrides defaults, and repeatable dotted-key assignments
-(``--set train.n_mode=fixed:8``) override the file; both go through the
-same check, which rejects unknown sections or keys outright so typos
-cannot silently fall back to defaults. Every command echoes its fully
-resolved configuration into the output directory; that echo (plus the
-seed) reproduces the run byte for byte, timing fields aside.
+(``--set train.n_mode=fixed:8``) override the file; both reject unknown
+sections or keys outright so typos cannot silently fall back to defaults.
+The resolved config is checked once, before any command reads or writes a
+file: every leaf keeps its default's type, every seed lies in [0, 2^64)
+and every section's ``validate()`` passes. Every command echoes the
+resolved config into the output directory; that echo (plus the seed)
+reproduces the run byte for byte, timing fields aside.
 
 A top-level ``--seed S`` derives section seeds (data=S, model=S+1,
 train=S+2, eval=S+3, bench=S+4) before ``--set`` overrides apply. The
@@ -38,13 +40,14 @@ __all__ = ["RunConfig", "load_run_config", "DEFAULTS"]
 _SECTIONS = {"data": DatasetMeta, "model": ModelConfig, "train": TrainConfig,
              "eval": EvalConfig, "bench": BenchConfig}
 _SEED_OFFSETS = {"data": 0, "model": 1, "train": 2, "eval": 3, "bench": 4}
-# DatasetMeta fields that the build (view_count, version) or the loader (split) sets.
-_NOT_KEYS = {"view_count", "version", "split"}
+# Fields that are not keys: the loader sets the split, and the model's sides are the data's.
+_NOT_KEYS = {"data": {"split"}, "model": {"grid_side", "image_side"}}
 
 
 def _section_defaults(section: str) -> dict:
+    skip = _NOT_KEYS.get(section, set())
     body = {f.name: list(f.default) if isinstance(f.default, tuple) else f.default
-            for f in dataclasses.fields(_SECTIONS[section]) if f.name not in _NOT_KEYS}
+            for f in dataclasses.fields(_SECTIONS[section]) if f.name not in skip}
     body["seed"] = _SEED_OFFSETS[section]
     return body
 
@@ -63,6 +66,8 @@ class RunConfig:
         if section not in _SECTIONS:
             raise AttributeError(section)
         body = self.sections[section]
+        if section == "model":
+            body = {**body, **{k: self.sections["data"][k] for k in _NOT_KEYS["model"]}}
         return _SECTIONS[section](**{k: tuple(v) if isinstance(v, list) else v
                                      for k, v in body.items()})
 
@@ -71,9 +76,7 @@ class RunConfig:
         return self.sections["paths"]
 
     def echo(self, out_dir) -> Path:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / "resolved_config.json"
+        path = Path(out_dir) / "resolved_config.json"
         path.write_text(json.dumps(self.sections, indent=2, sort_keys=True) + "\n")
         return path
 
@@ -116,7 +119,7 @@ def _fits(value, default) -> bool:
 
 
 def _check_types(sections: dict) -> None:
-    """Every leaf must keep the type of its default (see ``_fits``)."""
+    """Each leaf keeps its default's type (see ``_fits``); each seed fits a u64."""
     for section, body in DEFAULTS.items():
         for key, default in body.items():
             value = sections[section][key]
@@ -126,6 +129,8 @@ def _check_types(sections: dict) -> None:
                     expects += f" of {type(default[0]).__name__}"
                 raise ContractError(
                     f"config key {f'{section}.{key}'!r} expects {expects}, got {value!r}")
+            if key == "seed" and not 0 <= value < 2 ** 64:
+                raise ContractError(f"config key {f'{section}.seed'!r} must lie in [0, 2**64)")
             if isinstance(default, float):
                 sections[section][key] = float(value)
 
@@ -140,16 +145,14 @@ def load_run_config(config_path: str | None = None, overrides: list[str] | None 
         if not path.exists():
             raise OSError(f"config file not found: {path}")
         try:
-            doc = json.loads(path.read_text())
-        except json.JSONDecodeError as e:
-            raise ContractError(f"config file is not valid JSON: {e}") from e
+            doc = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
+            raise ContractError(f"config file is not valid UTF-8 JSON: {e}") from e
         if not isinstance(doc, dict):
             raise ContractError("config file must hold a JSON object")
         _merge(sections, doc)
 
     if seed is not None:
-        if seed < 0:
-            raise ContractError("seed must be a nonnegative integer")
         for section, off in _SEED_OFFSETS.items():
             sections[section]["seed"] = seed + off
 
@@ -165,4 +168,7 @@ def load_run_config(config_path: str | None = None, overrides: list[str] | None 
     if out_dir is not None:
         sections["paths"]["out_dir"] = str(out_dir)
     _check_types(sections)
-    return RunConfig(sections=sections)
+    cfg = RunConfig(sections=sections)
+    for section in _SECTIONS:
+        getattr(cfg, section).validate()
+    return cfg

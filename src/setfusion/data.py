@@ -28,7 +28,7 @@ step past the grid visits an empty voxel.
 
 File format (all integers little-endian):
 
-    magic "SFDS" | version u32 | G u32 | image_side u32 | K u32
+    magic "SFDS" | version u32 (1) | G u32 | image_side u32 | K u32 (8)
     | split u32 (0 = train, 1 = test) | train_count u64 | test_count u64
     | seed u64 | per sample: id u64, gt grid as G^3 bytes of {0,1},
       K images as image_side^2 float64 values.
@@ -94,9 +94,7 @@ class DatasetMeta:
     test_count: int = 500
     grid_side: int = 16
     image_side: int = 16
-    view_count: int = VIEW_COUNT
     seed: int = 0
-    version: int = DATASET_VERSION
     split: str = ""  # populated by load_dataset
 
     def validate(self) -> None:
@@ -104,8 +102,8 @@ class DatasetMeta:
             raise ContractError("train and test counts must be >= 1")
         if self.grid_side < 2 or self.image_side < 1:
             raise ContractError("grid_side must be >= 2 and image_side >= 1")
-        if self.view_count != VIEW_COUNT:
-            raise ContractError(f"this build renders exactly {VIEW_COUNT} fixed directions")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ContractError(f"data.seed must lie in [0, 2**64), got {self.seed}")
 
 
 def rasterize(spec: ShapeSpec, grid_side: int) -> np.ndarray:
@@ -215,8 +213,8 @@ def _sample_bytes(sample_id: int, occ: np.ndarray, views: np.ndarray) -> bytes:
 
 def _header(meta: DatasetMeta, split: int) -> bytes:
     return (DATASET_MAGIC
-            + struct.pack("<IIIII", meta.version, meta.grid_side, meta.image_side,
-                          meta.view_count, split)
+            + struct.pack("<IIIII", DATASET_VERSION, meta.grid_side, meta.image_side,
+                          VIEW_COUNT, split)
             + struct.pack("<QQQ", meta.train_count, meta.test_count, meta.seed))
 
 
@@ -251,6 +249,7 @@ def generate_dataset(meta: DatasetMeta, out_dir) -> dict:
     report = _informativeness_report(meta, grids, first_views)
     report["paths"] = paths
     report["meta"] = {k: v for k, v in vars(meta).items() if k != "split"}
+    report["meta"].update(version=DATASET_VERSION, view_count=VIEW_COUNT)
     report_path = out_dir / "dataset_report.json"
     report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     report["report_path"] = str(report_path)
@@ -294,12 +293,13 @@ def load_dataset(path) -> tuple[list[MultiViewSample], DatasetMeta]:
     if version != DATASET_VERSION:
         raise FormatError(
             f"dataset version {version}, this build reads version {DATASET_VERSION}", offset=4)
+    if k != VIEW_COUNT:
+        raise FormatError(f"view count {k}, this build reads {VIEW_COUNT}", offset=16)
     train_count, test_count, seed = struct.unpack("<QQQ", blob[24:48])
     if split not in (0, 1):
         raise FormatError(f"unknown split tag {split}", offset=20)
     meta = DatasetMeta(train_count=train_count, test_count=test_count, grid_side=g,
-                       image_side=side, view_count=k, seed=seed, version=version,
-                       split="train" if split == 0 else "test")
+                       image_side=side, seed=seed, split="train" if split == 0 else "test")
     n_samples = train_count if split == 0 else test_count
     rec = 8 + g ** 3 + k * side * side * 8
     expected = 48 + n_samples * rec

@@ -17,7 +17,6 @@ TINY_DATA = [
     "--set", "data.grid_side=8", "--set", "data.image_side=8",
 ]
 TINY_MODEL = [
-    "--set", "model.grid_side=8", "--set", "model.image_side=8",
     "--set", "model.latent_dim=8", "--set", "model.encoder_hidden=16",
     "--set", "model.decoder_hidden=16",
 ]
@@ -126,9 +125,18 @@ def test_train_overflow_is_exit_4_naming_stage_and_step(tmp_path, capsys):
 
 def test_train_grid_mismatch_is_contract_error(tmp_path, capsys):
     assert tiny_run("generate", tmp_path) == 0
-    code = tiny_run("train", tmp_path, "--set", "model.grid_side=16")
+    capsys.readouterr()
+    code = tiny_run("train", tmp_path, "--set", "data.grid_side=16")
     assert code == 1
-    assert "match" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "data.grid_side" in err and "match" in err
+
+
+def test_train_sizes_the_model_from_the_data_section(trained_run):
+    from setfusion.model import load_checkpoint
+
+    # only data.grid_side and data.image_side are set
+    assert load_checkpoint(trained_run / "stage2.sfck").base["dec_w2"].shape[1] == 8 ** 3
 
 
 # -------------------------------------------------------------------- eval
@@ -214,7 +222,8 @@ def test_malformed_set_key_rejected(tmp_path, capsys, dotted):
     ("data", DatasetMeta, 0), ("model", ModelConfig, 1), ("train", TrainConfig, 2),
     ("eval", EvalConfig, 3), ("bench", BenchConfig, 4)])
 def test_section_defaults_are_the_dataclass_fields(section, cls, seed):
-    fixed = {"view_count", "version", "split"}  # set by the build or the loader
+    # the loader sets the split; the model's sides are the data section's
+    fixed = {"data": {"split"}, "model": {"grid_side", "image_side"}}.get(section, set())
     expected = {f.name: list(f.default) if isinstance(f.default, tuple) else f.default
                 for f in dataclasses.fields(cls) if f.name not in fixed}
     expected["seed"] = seed
@@ -222,6 +231,17 @@ def test_section_defaults_are_the_dataclass_fields(section, cls, seed):
     built = getattr(RunConfig(sections=copy.deepcopy(DEFAULTS)), section)
     assert type(built) is cls
     assert built == dataclasses.replace(cls(), seed=seed)
+
+
+def test_config_has_thirty_keys_and_no_model_sides():
+    assert sum(len(body) for body in DEFAULTS.values()) == 30
+    assert not {"grid_side", "image_side"} & set(DEFAULTS["model"])
+
+
+@pytest.mark.parametrize("key", ["model.grid_side", "model.image_side"])
+def test_model_side_is_not_a_key(tmp_path, capsys, key):
+    assert run("generate", "--out", str(tmp_path), "--set", f"{key}=8") == 1
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
 
 
 def test_default_seeds_are_what_seed_zero_derives():
@@ -251,8 +271,7 @@ def test_config_file_and_override_precedence(tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({
         "data": {"train_count": 9, "test_count": 4, "grid_side": 8, "image_side": 8},
-        "model": {"grid_side": 8, "image_side": 8, "latent_dim": 8,
-                  "encoder_hidden": 16, "decoder_hidden": 16},
+        "model": {"latent_dim": 8, "encoder_hidden": 16, "decoder_hidden": 16},
     }))
     out = tmp_path / "out"
     assert run("generate", "--config", str(cfg_file), "--out", str(out),
@@ -269,6 +288,27 @@ def test_config_file_with_unknown_key(tmp_path, capsys):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"data": {"gridside": 8}}))
     assert run("generate", "--config", str(cfg_file), "--out", str(tmp_path / "o")) == 1
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["--set", "data.seed=-1"], "data.seed"),
+    (["--seed", "18446744073709551616"], "data.seed"),
+    (["--set", "model.seed=-1"], "model.seed"),
+    (["--set", "train.seed=-1"], "train.seed"),
+    (["--set", "eval.seed=-1"], "eval.seed"),
+    (["--set", "bench.seed=18446744073709551616"], "bench.seed"),
+    (["--set", "bench.inner_loops=0"], "bench.inner_loops"),
+    (["--set", "bench.n_grid=[4,2]"], "n_grid"),
+    (["--config", "latin1.json"], "UTF-8")])
+def test_invalid_config_is_rejected_before_any_file(tmp_path, capsys, argv, named):
+    (tmp_path / "latin1.json").write_bytes('{"data": {"seed": "\xe9"}}'.encode("latin-1"))
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    out = tmp_path / "o"
+    code = run("generate", "--out", str(out), *argv)
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+    assert not out.exists()
 
 
 def test_missing_config_file_is_io_error(tmp_path):
@@ -303,15 +343,22 @@ def test_usage_error_maps_to_contract_exit():
 
 # ------------------------------------------------------------------- bench
 
-def test_bench_small_grid(tmp_path, capsys):
+def test_bench_small_grid(tmp_path, capsys, monkeypatch):
+    import setfusion.bench as B
+
+    built = []
+    real_init = B.model_init
+    monkeypatch.setattr(B, "model_init", lambda cfg: built.append(cfg) or real_init(cfg))
     code = run("bench", "--out", str(tmp_path),
                "--set", "bench.n_grid=[1,3]",
                "--set", "model.latent_dim=8",
                "--set", "bench.inner_loops=1",
                "--set", 'bench.aggregators=["attsets_fc","mean","gru"]',
-               "--set", "model.image_side=4", "--set", "model.grid_side=4",
+               "--set", "data.image_side=4", "--set", "data.grid_side=4",
                "--set", "model.encoder_hidden=8", "--set", "model.decoder_hidden=8")
     assert code == 0
+    # every pipeline is sized like the data section and capped at the largest N
+    assert {(c.image_side, c.grid_side, c.max_views) for c in built} == {(4, 4, 3)}
     csv = (tmp_path / "bench.csv").read_text()
     lines = csv.strip().split("\n")
     assert lines[0] == "aggregator,N,agg_only_ms,full_forward_ms"
@@ -319,6 +366,15 @@ def test_bench_small_grid(tmp_path, capsys):
     doc = json.loads((tmp_path / "bench.json").read_text())
     assert doc["repeats"] >= 30 and doc["warmups"] >= 5
     assert "numpy" in doc["environment"]
+
+
+def test_run_bench_sets_max_views_from_its_grid():
+    from setfusion.bench import run_bench
+
+    cfg = BenchConfig(n_grid=(1, 3), inner_loops=1, aggregators=("mean",))
+    model_cfg = ModelConfig(image_side=4, grid_side=4, latent_dim=8, encoder_hidden=8,
+                            decoder_hidden=8, max_views=1)
+    assert [row["n"] for row in run_bench(cfg, model_cfg=model_cfg).rows] == [1, 3]
 
 
 def test_bench_rejects_thin_sampling(tmp_path):

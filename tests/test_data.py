@@ -266,6 +266,25 @@ def test_load_rejects_version_mismatch(small_dataset, tmp_path):
         D.load_dataset(bad)
 
 
+def test_load_rejects_a_view_count_other_than_eight(small_dataset, tmp_path):
+    out, _, _ = small_dataset
+    blob = (out / "train.sfds").read_bytes()
+    samples, _ = D.load_dataset(out / "train.sfds")
+    body = b"".join(D._sample_bytes(s.sample_id, s.gt, s.views[:3]) for s in samples)
+    bad = tmp_path / "k3.sfds"
+    bad.write_bytes(blob[:16] + (3).to_bytes(4, "little") + blob[20:48] + body)
+    with pytest.raises(FormatError, match="view count 3") as exc:
+        D.load_dataset(bad)
+    assert exc.value.offset == 16
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_generate_rejects_a_seed_outside_u64_before_writing(tmp_path, seed):
+    with pytest.raises(ContractError, match="data.seed"):
+        D.generate_dataset(D.DatasetMeta(**{**SMALL, "seed": seed}), tmp_path / "ds")
+    assert not (tmp_path / "ds").exists()
+
+
 def test_load_reports_truncation_offset(small_dataset, tmp_path):
     out, _, _ = small_dataset
     blob = (out / "train.sfds").read_bytes()
@@ -277,7 +296,7 @@ def test_load_reports_truncation_offset(small_dataset, tmp_path):
 
 
 def _record_size(meta):
-    return 8 + meta.grid_side ** 3 + meta.view_count * meta.image_side ** 2 * 8
+    return 8 + meta.grid_side ** 3 + D.VIEW_COUNT * meta.image_side ** 2 * 8
 
 
 def _load_patched(src, tmp_path, *patches):
