@@ -20,7 +20,7 @@ import gc
 import json
 import platform
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -75,12 +75,7 @@ class BenchReport:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        return json.dumps({
-            "rows": self.rows,
-            "repeats": self.repeats,
-            "warmups": self.warmups,
-            "environment": self.environment,
-        }, indent=2) + "\n"
+        return json.dumps(asdict(self), indent=2) + "\n"
 
 
 def _timed_ms(fn, inner_loops: int) -> float:

@@ -91,13 +91,16 @@ def _load_split(cfg, split: str):
 def cmd_train(args) -> int:
     from .aggregators import ATTENTION_KINDS
     from .model import model_init, save_checkpoint
-    from .training import faset_stage1, faset_stage2, finetune, joint_train, single_view_train
+    from .training import (_check_stage2_reachable, faset_stage1, faset_stage2, finetune,
+                           joint_train, single_view_train)
 
     cfg, out_dir = _resolve(args)
-    trainset, _ = _load_split(cfg, "train")
-    params = model_init(cfg.model)
     train_cfg = cfg.train
     kind = cfg.model.aggregator_kind
+    if args.mode == "faset" and kind in ATTENTION_KINDS:
+        _check_stage2_reachable(train_cfg.n_mode)
+    trainset, _ = _load_split(cfg, "train")
+    params = model_init(cfg.model)
 
     def save(tag, report):
         save_checkpoint(params, out_dir / f"{tag}.sfck")

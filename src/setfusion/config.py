@@ -29,11 +29,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .bench import BenchConfig
-from .data import DatasetMeta
+from .data import VIEW_COUNT, DatasetMeta
 from .errors import ContractError
 from .metrics import EvalConfig
 from .model import ModelConfig
-from .training import TrainConfig
+from .training import TrainConfig, parse_n_mode
 
 __all__ = ["RunConfig", "load_run_config", "DEFAULTS"]
 
@@ -171,4 +171,11 @@ def load_run_config(config_path: str | None = None, overrides: list[str] | None 
     cfg = RunConfig(sections=sections)
     for section in _SECTIONS:
         getattr(cfg, section).validate()
+    # Every dataset stores VIEW_COUNT views per sample.
+    if parse_n_mode(cfg.train.n_mode)[-1] > VIEW_COUNT:
+        raise ContractError(f"config key 'train.n_mode' asks for more than the {VIEW_COUNT} "
+                            f"views stored per sample, got {cfg.train.n_mode!r}")
+    if max(cfg.eval.view_counts) > VIEW_COUNT:
+        raise ContractError(f"config key 'eval.view_counts' asks for more than the {VIEW_COUNT} "
+                            f"views stored per sample, got {list(cfg.eval.view_counts)}")
     return cfg

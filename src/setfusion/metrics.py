@@ -28,7 +28,7 @@ which still encodes one view at a time.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -156,14 +156,11 @@ def _predicted_probs(params, testset, cfg: EvalConfig, n: int) -> list[tuple[int
 
 
 def threshold_search(params, testset, cfg: EvalConfig, n: int) -> tuple[float, float]:
-    """(best threshold, mean IoU at it); smallest maximizer on ties."""
-    cfg.validate()
-    testset = list(testset)
-    if not testset:
-        raise ContractError("threshold search needs a non-empty test set")
-    _check_counts((n,), testset[0].views.shape[0])
-    preds = _predicted_probs(params, testset, cfg, n)
-    return best_threshold([(probs, gt) for _, probs, gt in preds])
+    """(best threshold, mean IoU at it); smallest maximizer on ties. An
+    ``eval_sweep`` over the one view count ``n``."""
+    report = eval_sweep(params, testset, replace(cfg, view_counts=(n,)),
+                        method="threshold_search")
+    return report.threshold(n), report.mean_iou(n)
 
 
 @dataclass
@@ -172,17 +169,17 @@ class EvalReport:
     rows: list  # dicts with n, threshold, mean_iou, n_samples
     per_sample: dict  # n -> list of (sample_id, iou)
 
-    def mean_iou(self, n: int) -> float:
+    def _row(self, n: int) -> dict:
         for row in self.rows:
             if row["n"] == n:
-                return row["mean_iou"]
+                return row
         raise KeyError(f"no row for N={n}")
 
+    def mean_iou(self, n: int) -> float:
+        return self._row(n)["mean_iou"]
+
     def threshold(self, n: int) -> float:
-        for row in self.rows:
-            if row["n"] == n:
-                return row["threshold"]
-        raise KeyError(f"no row for N={n}")
+        return self._row(n)["threshold"]
 
     def to_csv(self) -> str:
         lines = ["method,N,threshold,mean_iou,n_samples"]

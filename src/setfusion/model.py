@@ -34,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .aggregators import (AggregatorParams, AttentionMap, FeatureSet, aggregate,
-                          aggregator_init)
+from .aggregators import (AGGREGATOR_KINDS, AggregatorParams, AttentionMap, FeatureSet,
+                          aggregate, aggregator_init)
 from .errors import ContractError, FormatError, ShapeError
 from .tensor import Tensor
 
@@ -71,6 +71,9 @@ class ModelConfig:
                      "grid_side", "max_views"):
             if getattr(self, name) < 1:
                 raise ContractError(f"{name} must be >= 1")
+        if self.aggregator_kind not in AGGREGATOR_KINDS:
+            raise ContractError(f"unknown model.aggregator_kind {self.aggregator_kind!r}; "
+                                f"expected one of {', '.join(AGGREGATOR_KINDS)}")
 
     @property
     def voxel_count(self) -> int:

@@ -9,6 +9,8 @@ rest of the package leans on:
   and only for results that depend on a tensor with ``requires_grad``.
   Without an active tape every op is a plain numpy computation, so
   evaluation paths carry no autodiff overhead.
+* Every checked op is built by one constructor, ``_op``: it wraps the
+  result, checks that it is finite and records it on the active tape.
 * Backward computes only the products that reach a ``requires_grad`` leaf:
   each closure is told which of its inputs need a gradient and skips the
   others, so a frozen weight, an input image or a constant costs nothing.
@@ -76,8 +78,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=np.float64)
-        self.data = arr
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
 
@@ -116,23 +117,19 @@ class Tensor:
         return ew_binary("mul", _as_tensor(other), self)
 
     def __sub__(self, other):
-        return ew_binary("add", self, ew_binary("mul", _as_tensor(other), _const(-1.0)))
+        return ew_binary("add", self, ew_binary("mul", _as_tensor(other), _as_tensor(-1.0)))
 
     def __rsub__(self, other):
-        return ew_binary("add", _as_tensor(other), ew_binary("mul", self, _const(-1.0)))
+        return ew_binary("add", _as_tensor(other), ew_binary("mul", self, _as_tensor(-1.0)))
 
     def __neg__(self):
-        return ew_binary("mul", self, _const(-1.0))
+        return ew_binary("mul", self, _as_tensor(-1.0))
 
 
 def _as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
         return x
     return Tensor(np.asarray(x, dtype=np.float64))
-
-
-def _const(v: float) -> Tensor:
-    return Tensor(np.float64(v))
 
 
 class Tape:
@@ -247,19 +244,29 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
         raise NumericOverflowError(f"{op} produced a non-finite value")
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of a [M,K] by a [K,P] tensor."""
+def _op(name: str, value: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callable) -> Tensor:
+    """Wrap op ``name``'s result ``value``, check that it is finite and record it."""
+    out = Tensor(value)
+    _check_finite(out.data, name)
+    return _record(out, inputs, backward_fn)
+
+
+def _matmul(name: str, product: Callable, a: Tensor, b: Tensor) -> Tensor:
+    """``product(a, b)`` of a [M,K] by a [K,P] tensor, as op ``name``."""
     if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul needs rank-2 operands, got {list(a.shape)} x {list(b.shape)}")
+        raise ShapeError(f"{name} needs rank-2 operands, got {list(a.shape)} x {list(b.shape)}")
     if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner extents disagree: {list(a.shape)} x {list(b.shape)}")
-    out = Tensor(a.data @ b.data)
-    _check_finite(out.data, "matmul")
+        raise ShapeError(f"{name} inner extents disagree: {list(a.shape)} x {list(b.shape)}")
 
     def bwd(g, need):
         return (g @ b.data.T if need[0] else None, a.data.T @ g if need[1] else None)
 
-    return _record(out, (a, b), bwd)
+    return _op(name, product(a.data, b.data), (a, b), bwd)
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product of a [M,K] by a [K,P] tensor."""
+    return _matmul("matmul", np.matmul, a, b)
 
 
 def matmul_rows(a: Tensor, b: Tensor) -> Tensor:
@@ -269,19 +276,9 @@ def matmul_rows(a: Tensor, b: Tensor) -> Tensor:
     row and ``b``, independent of how the rows are stacked; reordering the
     rows of ``a`` reorders the result bit-exactly.
     """
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul_rows needs rank-2 operands, got {list(a.shape)} x {list(b.shape)}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner extents disagree: {list(a.shape)} x {list(b.shape)}")
     # One [1,K] @ [K,P] product per row, with the bits of ``a[i:i+1] @ b`` for
     # every layout of ``a``; a contiguous copy of a strided ``a`` would lose them.
-    out = Tensor(np.matmul(a.data[:, None, :], b.data)[:, 0, :])
-    _check_finite(out.data, "matmul_rows")
-
-    def bwd(g, need):
-        return (g @ b.data.T if need[0] else None, a.data.T @ g if need[1] else None)
-
-    return _record(out, (a, b), bwd)
+    return _matmul("matmul_rows", lambda x, y: np.matmul(x[:, None, :], y)[:, 0, :], a, b)
 
 
 def ew_binary(op: str, a: Tensor, b: Tensor) -> Tensor:
@@ -291,11 +288,6 @@ def ew_binary(op: str, a: Tensor, b: Tensor) -> Tensor:
     a_scalar, b_scalar = a.size == 1, b.size == 1
     if a.shape != b.shape and not (a_scalar or b_scalar):
         raise ShapeError(f"shape mismatch for {op}: {list(a.shape)} vs {list(b.shape)}")
-    if op == "add":
-        out = Tensor(a.data + b.data)
-    else:
-        out = Tensor(a.data * b.data)
-    _check_finite(out.data, op)
 
     def reduce_to(g, t, is_scalar):
         if is_scalar and g.shape != t.data.shape:
@@ -306,12 +298,14 @@ def ew_binary(op: str, a: Tensor, b: Tensor) -> Tensor:
         def bwd(g, need):
             return (reduce_to(g, a, a_scalar) if need[0] else None,
                     reduce_to(g, b, b_scalar) if need[1] else None)
+        value = a.data + b.data
     else:
         def bwd(g, need):
             return (reduce_to(g * b.data, a, a_scalar) if need[0] else None,
                     reduce_to(g * a.data, b, b_scalar) if need[1] else None)
+        value = a.data * b.data
 
-    return _record(out, (a, b), bwd)
+    return _op(op, value, (a, b), bwd)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -324,25 +318,20 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 def sigmoid(a: Tensor) -> Tensor:
     """Elementwise logistic function."""
     y = _sigmoid(a.data)
-    out = Tensor(y)
-    _check_finite(out.data, "sigmoid")
 
     def bwd(g, need):
         return (g * y * (1.0 - y),)
 
-    return _record(out, (a,), bwd)
+    return _op("sigmoid", y, (a,), bwd)
 
 
 def relu(a: Tensor) -> Tensor:
     """Elementwise max(x, 0); the gradient at 0 is 0."""
-    x = a.data
-    out = Tensor(np.maximum(x, 0.0))
-    _check_finite(out.data, "relu")
 
     def bwd(g, need):
-        return (g * (x > 0.0),)
+        return (g * (a.data > 0.0),)
 
-    return _record(out, (a,), bwd)
+    return _op("relu", np.maximum(a.data, 0.0), (a,), bwd)
 
 
 def _sorted_axis0_sum(arr: np.ndarray) -> np.ndarray:
@@ -363,13 +352,11 @@ def softmax_set(c: Tensor) -> Tensor:
     e = np.exp(shifted)
     denom = _sorted_axis0_sum(e)
     s = e / denom
-    out = Tensor(s)
-    _check_finite(out.data, "softmax_set")
 
     def bwd(g, need, s=s):
         return (s * (g - (g * s).sum(axis=0, keepdims=True)),)
 
-    return _record(out, (c,), bwd)
+    return _op("softmax_set", s, (c,), bwd)
 
 
 def reduce_sum(a: Tensor, axis: int) -> Tensor:
@@ -377,13 +364,11 @@ def reduce_sum(a: Tensor, axis: int) -> Tensor:
     row-major layout, so repeated runs are bit-identical."""
     if not 0 <= axis < a.data.ndim:
         raise ShapeError(f"axis {axis} out of range for rank {a.data.ndim}")
-    out = Tensor(a.data.sum(axis=axis))
-    _check_finite(out.data, "reduce_sum")
 
     def bwd(g, need):
         return (np.repeat(np.expand_dims(g, axis), a.shape[axis], axis=axis),)
 
-    return _record(out, (a,), bwd)
+    return _op("reduce_sum", a.data.sum(axis=axis), (a,), bwd)
 
 
 def set_sum(a: Tensor) -> Tensor:
@@ -394,13 +379,11 @@ def set_sum(a: Tensor) -> Tensor:
     """
     if a.data.ndim < 1:
         raise ShapeError("set_sum needs at least rank 1")
-    out = Tensor(_sorted_axis0_sum(a.data))
-    _check_finite(out.data, "set_sum")
 
     def bwd(g, need):
         return (np.broadcast_to(g, a.shape).copy(),)
 
-    return _record(out, (a,), bwd)
+    return _op("set_sum", _sorted_axis0_sum(a.data), (a,), bwd)
 
 
 def set_max(a: Tensor) -> Tensor:
@@ -408,8 +391,7 @@ def set_max(a: Tensor) -> Tensor:
     argmax row on ties."""
     if a.data.ndim < 1:
         raise ShapeError("set_max needs at least rank 1")
-    out = Tensor(a.data.max(axis=0))
-    _check_finite(out.data, "set_max")
+    value = a.data.max(axis=0)
     winners = a.data.argmax(axis=0)
 
     def bwd(g, need, winners=winners):
@@ -417,7 +399,7 @@ def set_max(a: Tensor) -> Tensor:
         np.put_along_axis(full, winners[None, ...], g[None, ...], axis=0)
         return (full,)
 
-    return _record(out, (a,), bwd)
+    return _op("set_max", value, (a,), bwd)
 
 
 def add_rowvec(mat: Tensor, row: Tensor) -> Tensor:
@@ -426,13 +408,11 @@ def add_rowvec(mat: Tensor, row: Tensor) -> Tensor:
         raise ShapeError(f"add_rowvec needs [N,F] + [1,F], got {list(mat.shape)} + {list(row.shape)}")
     if mat.shape[1] != row.shape[1]:
         raise ShapeError(f"width mismatch: {list(mat.shape)} + {list(row.shape)}")
-    out = Tensor(mat.data + row.data)
-    _check_finite(out.data, "add_rowvec")
 
     def bwd(g, need):
         return (g if need[0] else None, g.sum(axis=0, keepdims=True) if need[1] else None)
 
-    return _record(out, (mat, row), bwd)
+    return _op("add_rowvec", mat.data + row.data, (mat, row), bwd)
 
 
 def repeat_cols(a: Tensor, width: int) -> Tensor:
@@ -542,8 +522,6 @@ def gru_cell(x: Tensor, h: Tensor, Wz: Tensor, Uz: Tensor, bz: Tensor, Wr: Tenso
     s = _sigmoid(a_h2)
     cand = s * 2.0 - 1.0
     omz = 1.0 - z
-    out = Tensor(omz * hd + z * cand)
-    _check_finite(out.data, "gru_cell")
 
     def bwd(g, need):
         nx, nh, nWz, nUz, nbz, nWr, nUr, nbr, nWh, nUh, nbh = need
@@ -586,7 +564,7 @@ def gru_cell(x: Tensor, h: Tensor, Wz: Tensor, Uz: Tensor, bz: Tensor, Wr: Tenso
                 rh.T @ g_ah if nUh else None,
                 g_ah.sum(axis=0, keepdims=True) if nbh else None)
 
-    return _record(out, (x, h, Wz, Uz, bz, Wr, Ur, br, Wh, Uh, bh), bwd)
+    return _op("gru_cell", omz * hd + z * cand, (x, h, Wz, Uz, bz, Wr, Ur, br, Wh, Uh, bh), bwd)
 
 
 _BCE_EPS = 1e-7
@@ -599,16 +577,13 @@ def bce_loss(pred: Tensor, target: Tensor) -> Tensor:
     p = np.clip(pred.data, _BCE_EPS, 1.0 - _BCE_EPS)
     t = target.data
     per = -(t * np.log(p) + (1.0 - t) * np.log1p(-p))
-    out = Tensor(per.mean())
-    _check_finite(out.data, "bce_loss")
-    n = pred.size
 
-    def bwd(g, need, p=p, t=t, n=n):
+    def bwd(g, need, p=p, t=t):
         inside = (pred.data > _BCE_EPS) & (pred.data < 1.0 - _BCE_EPS)
-        dp = (p - t) / (p * (1.0 - p)) / n * inside
+        dp = (p - t) / (p * (1.0 - p)) / pred.size * inside
         return (float(g) * dp, None)
 
-    return _record(out, (pred, target), bwd)
+    return _op("bce_loss", per.mean(), (pred, target), bwd)
 
 
 def enable_fault(name: str) -> None:

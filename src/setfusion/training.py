@@ -53,7 +53,7 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -109,7 +109,8 @@ class TrainConfig:
 
 
 def parse_n_mode(spec: str) -> tuple:
-    """``fixed:N`` or ``uniform:LO:HI`` -> parsed tuple."""
+    """``fixed:N`` or ``uniform:LO:HI`` -> parsed tuple, whose last field is
+    the largest set size."""
     parts = str(spec).split(":")
     try:
         if parts[0] == "fixed" and len(parts) == 2:
@@ -138,16 +139,9 @@ class TrainReport:
     warning: str | None = None
 
     def to_json(self) -> str:
-        doc = {
-            "stage": self.stage,
-            "steps": self.steps,
-            "losses": self.losses,
-            "wallclock_ms": self.wallclock_ms,
-            "base_checksum": self.base_checksum,
-            "att_checksum": self.att_checksum,
-        }
-        if self.warning:
-            doc["warning"] = self.warning
+        doc = asdict(self)
+        if not self.warning:
+            del doc["warning"]
         return json.dumps(doc, indent=2) + "\n"
 
 
@@ -162,8 +156,7 @@ def sample_minibatch(dataset, cfg: TrainConfig, step: int, n_mode: str | None = 
         raise ContractError("cannot sample from an empty dataset")
     mode = parse_n_mode(n_mode if n_mode is not None else cfg.n_mode)
     k = dataset[0].views.shape[0]
-    hi = mode[1] if mode[0] == "fixed" else mode[2]
-    if hi > k:
+    if mode[-1] > k:
         raise ContractError(f"n_mode {mode} exceeds the {k} views stored per sample")
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, step]))
     picks = rng.integers(0, len(dataset), size=cfg.batch_size)
@@ -291,12 +284,15 @@ def single_view_train(params: ParamBundle, dataset, cfg: TrainConfig) -> TrainRe
                 group="all", lr=cfg.learning_rate, n_mode="fixed:1")
 
 
+def _check_stage2_reachable(n_mode: str) -> None:
+    if parse_n_mode(n_mode)[-1] < 2:
+        raise ContractError(f"stage 2 needs set sizes >= 2 to be reachable, "
+                            f"got train.n_mode={n_mode!r}")
+
+
 def faset_stage2(params: ParamBundle, dataset, cfg: TrainConfig) -> TrainReport:
     """Stage 2: attention group only, set-level reconstructions."""
-    mode = parse_n_mode(cfg.n_mode)
-    reachable = mode[1] >= 2 if mode[0] == "fixed" else mode[2] >= 2
-    if not reachable:
-        raise ContractError(f"stage 2 needs set sizes >= 2 to be reachable, got {cfg.n_mode}")
+    _check_stage2_reachable(cfg.n_mode)
     if not params.att:
         msg = "stage 2 is a no-op: the aggregator has no trainable parameters"
         log.warning(msg)

@@ -179,6 +179,41 @@ def test_eval_rejects_empty_or_repeated_view_counts(trained_run, tmp_path, capsy
     assert not (tmp_path / "eval.csv").exists()
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["train", "--mode", "faset", "--set", "train.n_mode=fixed:9"], "train.n_mode"),
+    (["train", "--mode", "joint", "--set", "train.n_mode=uniform:1:9"], "train.n_mode"),
+    (["train", "--mode", "faset", "--set", "train.n_mode=fixed:1"], "train.n_mode"),
+    (["train", "--mode", "faset", "--set", "train.n_mode=uniform:1:1"], "train.n_mode"),
+    (["eval", "--set", "eval.view_counts=[9]"], "eval.view_counts")])
+def test_set_size_out_of_reach_exits_before_reading_the_split(trained_run, tmp_path, capsys,
+                                                             monkeypatch, argv, named):
+    import setfusion.data as D
+
+    reads = []
+    real_load = D.load_dataset
+    monkeypatch.setattr(D, "load_dataset", lambda path: reads.append(path) or real_load(path))
+    out = tmp_path / "o"
+    code = tiny_run(argv[0], out, "--set", f"paths.dataset_dir={trained_run / 'dataset'}",
+                    "--set", f"paths.checkpoint={trained_run / 'stage2.sfck'}", *argv[1:])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+    assert reads == []
+    assert not list(out.glob("*.sfck")) and not (out / "eval.json").exists()
+
+
+def test_eval_checkpoint_with_flipped_magic_is_format_error(trained_run, tmp_path, capsys):
+    blob = bytearray((trained_run / "stage2.sfck").read_bytes())
+    blob[0] ^= 0xFF
+    (tmp_path / "bad.sfck").write_bytes(bytes(blob))
+    code = tiny_run("eval", tmp_path, "--set", f"paths.dataset_dir={trained_run / 'dataset'}",
+                    "--set", f"paths.checkpoint={tmp_path / 'bad.sfck'}")
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: ") and "magic" in err[0]
+    assert not (tmp_path / "eval.json").exists()
+
+
 def test_eval_zero_init_attention_equals_mean_pooling(trained_run):
     from setfusion.metrics import EvalConfig, eval_sweep
     from setfusion.model import ModelConfig, ParamBundle, load_checkpoint
@@ -299,7 +334,11 @@ def test_config_file_with_unknown_key(tmp_path, capsys):
     (["--set", "bench.seed=18446744073709551616"], "bench.seed"),
     (["--set", "bench.inner_loops=0"], "bench.inner_loops"),
     (["--set", "bench.n_grid=[4,2]"], "n_grid"),
-    (["--config", "latin1.json"], "UTF-8")])
+    (["--config", "latin1.json"], "UTF-8"),
+    (["--set", "model.aggregator_kind=bogus"], "model.aggregator_kind"),
+    (["--set", "train.n_mode=fixed:9"], "train.n_mode"),
+    (["--set", "train.n_mode=uniform:2:9"], "train.n_mode"),
+    (["--set", "eval.view_counts=[1,9]"], "eval.view_counts")])
 def test_invalid_config_is_rejected_before_any_file(tmp_path, capsys, argv, named):
     (tmp_path / "latin1.json").write_bytes('{"data": {"seed": "\xe9"}}'.encode("latin-1"))
     argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
@@ -366,6 +405,18 @@ def test_bench_small_grid(tmp_path, capsys, monkeypatch):
     doc = json.loads((tmp_path / "bench.json").read_text())
     assert doc["repeats"] >= 30 and doc["warmups"] >= 5
     assert "numpy" in doc["environment"]
+
+
+def test_bench_report_json_bytes():
+    from setfusion.bench import BenchReport
+
+    report = BenchReport(rows=[{"aggregator": "mean", "n": 1, "agg_only_ms": 0.5,
+                                "full_forward_ms": 2.0}], repeats=30, warmups=5,
+                         environment="env")
+    assert report.to_json() == (
+        '{\n  "rows": [\n    {\n      "aggregator": "mean",\n      "n": 1,\n'
+        '      "agg_only_ms": 0.5,\n      "full_forward_ms": 2.0\n    }\n  ],\n'
+        '  "repeats": 30,\n  "warmups": 5,\n  "environment": "env"\n}\n')
 
 
 def test_run_bench_sets_max_views_from_its_grid():

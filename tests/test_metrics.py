@@ -248,6 +248,15 @@ def test_eval_sweep_rejects_empty_or_repeated_view_counts(tiny_world):
             E.eval_sweep(params, testset, E.EvalConfig(view_counts=counts))
 
 
+def test_eval_report_looks_up_one_row_per_n():
+    report = E.EvalReport(method="m", rows=[{"n": 1, "threshold": 0.25, "mean_iou": 0.5,
+                                             "n_samples": 3}], per_sample={})
+    assert (report.threshold(1), report.mean_iou(1)) == (0.25, 0.5)
+    for lookup in (report.threshold, report.mean_iou):
+        with pytest.raises(KeyError, match="no row for N=2"):
+            lookup(2)
+
+
 def test_threshold_search_checks_the_view_count_bounds(tiny_world):
     params, testset = tiny_world
     with pytest.raises(ContractError, match="view counts must be >= 1"):

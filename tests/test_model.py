@@ -267,6 +267,16 @@ def test_checkpoint_rank_beyond_numpy_reports_offset(tmp_path):
     assert exc.value.offset == rank_off
 
 
+def test_checkpoint_trailing_bytes_report_offset(tmp_path):
+    path = tmp_path / "model.sfck"
+    M.save_checkpoint(M.model_init(tiny_cfg()), path)
+    blob = path.read_bytes()
+    path.write_bytes(blob + b"\x00")
+    with pytest.raises(FormatError, match="trailing bytes") as exc:
+        M.load_checkpoint(path)
+    assert exc.value.offset == len(blob)
+
+
 @pytest.mark.parametrize("corrupt", ["renamed", "regrouped"])
 def test_checkpoint_not_matching_cfg_is_contract_error(tmp_path, corrupt):
     cfg = tiny_cfg(aggregator_kind="gru", seed=12)

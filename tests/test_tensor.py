@@ -716,3 +716,92 @@ def test_gru_cell_rejects_mismatched_weights():
     ws["Uh"] = np.zeros((5, 4))
     with pytest.raises(ShapeError):
         T.gru_cell(T.Tensor(xs), T.Tensor(h0), *(T.Tensor(ws[k]) for k in GRU_ARGS[2:]))
+
+
+# ------------------------------------------------------------ typed errors
+
+def _ones(*shape):
+    return T.Tensor(np.ones(shape))
+
+
+def _nested_tape():
+    with T.Tape(), T.Tape():
+        pass
+
+
+def _unrecorded_loss():
+    with T.Tape() as tape:
+        tape.backward(T.reduce_sum(T.Tensor([1.0]), 0))
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda: T.matmul(_ones(2, 3, 1), _ones(1, 2)), ShapeError,
+                 "^matmul needs rank-2", id="matmul-rank"),
+    pytest.param(lambda: T.matmul(_ones(2, 3), _ones(2, 3)), ShapeError,
+                 "^matmul inner extents", id="matmul-inner"),
+    pytest.param(lambda: T.matmul_rows(_ones(3), _ones(3, 2)), ShapeError,
+                 "^matmul_rows needs rank-2", id="matmul_rows-rank"),
+    pytest.param(lambda: T.matmul_rows(_ones(2, 3), _ones(2, 3)), ShapeError,
+                 "^matmul_rows inner extents", id="matmul_rows-inner"),
+    pytest.param(lambda: T.ew_binary("sub", _ones(2), _ones(2)), ContractError,
+                 "unknown elementwise op 'sub'", id="ew_binary-op"),
+    pytest.param(lambda: T.softmax_set(_ones(3)), ShapeError,
+                 r"softmax_set needs an \[N,D\]", id="softmax_set-rank"),
+    pytest.param(lambda: T.set_sum(T.Tensor(1.0)), ShapeError,
+                 "set_sum needs at least rank 1", id="set_sum-rank"),
+    pytest.param(lambda: T.set_max(T.Tensor(1.0)), ShapeError,
+                 "set_max needs at least rank 1", id="set_max-rank"),
+    pytest.param(lambda: T.add_rowvec(_ones(2, 3), _ones(2, 3)), ShapeError,
+                 r"add_rowvec needs \[N,F\] \+ \[1,F\]", id="add_rowvec-rows"),
+    pytest.param(lambda: T.add_rowvec(_ones(2, 3), _ones(1, 2)), ShapeError,
+                 "width mismatch", id="add_rowvec-width"),
+    pytest.param(lambda: T.repeat_cols(_ones(2, 2), 3), ShapeError,
+                 r"repeat_cols needs an \[N,1\]", id="repeat_cols-column"),
+    pytest.param(lambda: T.take_rows(_ones(3), [0]), ShapeError,
+                 "take_rows needs a rank-2", id="take_rows-rank"),
+    pytest.param(lambda: T.stack_rows([]), ContractError,
+                 "at least one tensor", id="stack_rows-empty"),
+    pytest.param(lambda: T.stack_rows([_ones(1, 2, 2)]), ShapeError,
+                 "rank-1 rows or rank-2 blocks", id="stack_rows-rank3"),
+    pytest.param(lambda: T.gru_cell(_ones(2, 3), _ones(3, 4), *[_ones(1, 1)] * 9), ShapeError,
+                 r"gru_cell needs \[B,D\] and \[B,H\] rows", id="gru_cell-rows"),
+    pytest.param(lambda: T.finite_diff_grad(lambda t: t, _ones(1), eps=0.0), ContractError,
+                 "eps must be positive", id="finite_diff_grad-eps"),
+    pytest.param(_nested_tape, ContractError, "already active", id="tape-nested"),
+    pytest.param(_unrecorded_loss, ContractError, "not recorded on this tape",
+                 id="tape-unrecorded-loss"),
+])
+def test_typed_errors(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+    assert T.Tape._active is None
+
+
+_NAN = np.array([[np.nan, 1.0], [2.0, 3.0]])
+
+
+@pytest.mark.parametrize("name, call", [
+    ("matmul", lambda x: T.matmul(x, _ones(2, 2))),
+    ("matmul_rows", lambda x: T.matmul_rows(x, _ones(2, 2))),
+    ("add", lambda x: T.ew_binary("add", x, _ones(2, 2))),
+    ("mul", lambda x: T.ew_binary("mul", x, _ones(2, 2))),
+    ("sigmoid", T.sigmoid),
+    ("relu", T.relu),
+    ("softmax_set", T.softmax_set),
+    ("reduce_sum", lambda x: T.reduce_sum(x, 0)),
+    ("set_sum", T.set_sum),
+    ("set_max", T.set_max),
+    ("add_rowvec", lambda x: T.add_rowvec(x, _ones(1, 2))),
+    ("gru_cell", lambda x: T.gru_cell(x, _ones(2, 2), *[_ones(2, 2), _ones(2, 2), _ones(1, 2)] * 3)),
+    ("bce_loss", lambda x: T.bce_loss(x, _ones(2, 2))),
+])
+def test_checked_ops_raise_on_a_non_finite_result(name, call):
+    with np.errstate(all="ignore"), pytest.raises(NumericOverflowError, match=f"^{name} produced"):
+        call(T.Tensor(_NAN))
+
+
+def test_copy_ops_pass_a_non_finite_value_through():
+    x = T.Tensor(_NAN)
+    outs = [T.repeat_cols(T.Tensor(_NAN[:, :1]), 3), T.reshape(x, [4]),
+            T.take_rows(x, [1, 0]), T.stack_rows([x, x])]
+    assert all(np.isnan(out.data).any() for out in outs)

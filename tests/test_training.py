@@ -415,6 +415,18 @@ def test_finetune_zero_rate_is_identity(tiny_dataset):
 
 # ------------------------------------------------------------------ report
 
+def test_report_json_bytes_with_and_without_a_warning():
+    report = TR.TrainReport(stage="stage2", steps=2, losses=[0.5, 0.25], wallclock_ms=1.5,
+                            base_checksum="ab", att_checksum="cd")
+    body = ('{\n  "stage": "stage2",\n  "steps": 2,\n  "losses": [\n    0.5,\n    0.25\n  ],\n'
+            '  "wallclock_ms": 1.5,\n  "base_checksum": "ab",\n  "att_checksum": "cd"')
+    assert report.to_json() == body + "\n}\n"
+    report.warning = ""  # an empty warning is left out like a missing one
+    assert report.to_json() == body + "\n}\n"
+    report.warning = "no att"
+    assert report.to_json() == body + ',\n  "warning": "no att"\n}\n'
+
+
 def test_report_json_schema(tiny_dataset):
     report = TR.faset_stage1(tiny_model(seed=10), tiny_dataset, tiny_train_cfg(stage1_steps=3))
     doc = json.loads(report.to_json())
