@@ -47,21 +47,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve(args):
+def _config(args):
     from .config import load_run_config
 
-    cfg = load_run_config(config_path=args.config, overrides=args.overrides,
-                          seed=args.seed, out_dir=args.out)
+    return load_run_config(config_path=args.config, overrides=args.overrides,
+                           seed=args.seed, out_dir=args.out)
+
+
+def _out_dir(cfg) -> Path:
+    """Make the output directory and echo the resolved config into it."""
     out_dir = Path(cfg.paths["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg.echo(out_dir)
-    return cfg, out_dir
+    return out_dir
 
 
 def cmd_generate(args) -> int:
     from .data import generate_dataset
 
-    cfg, out_dir = _resolve(args)
+    cfg = _config(args)
+    out_dir = _out_dir(cfg)
     target = Path(cfg.paths["dataset_dir"] or out_dir / "dataset")
     report = generate_dataset(cfg.data, target)
     print(f"wrote {report['paths']['train']} and {report['paths']['test']}")
@@ -89,41 +94,26 @@ def _load_split(cfg, split: str):
 
 
 def cmd_train(args) -> int:
-    from .aggregators import ATTENTION_KINDS
     from .model import model_init, save_checkpoint
-    from .training import (_check_stage2_reachable, faset_stage1, faset_stage2, finetune,
-                           joint_train, single_view_train)
+    from .training import schedule
 
-    cfg, out_dir = _resolve(args)
-    train_cfg = cfg.train
+    cfg = _config(args)
     kind = cfg.model.aggregator_kind
-    if args.mode == "faset" and kind in ATTENTION_KINDS:
-        _check_stage2_reachable(train_cfg.n_mode)
+    steps = schedule(args.mode, kind, cfg.train.n_mode)  # refuses before any write
+    out_dir = _out_dir(cfg)
     trainset, _ = _load_split(cfg, "train")
     params = model_init(cfg.model)
-
-    def save(tag, report):
+    if args.mode == "faset" and steps == schedule("finetune", kind, cfg.train.n_mode):
+        print(f"note: aggregator {kind!r} has no separable attention stage; "
+              f"stage 1 trains the whole network and stage 2 is routed to finetune")
+    for tag, trainer in steps:
+        report = trainer(params, trainset, cfg.train)
         save_checkpoint(params, out_dir / f"{tag}.sfck")
         (out_dir / f"{tag}_report.json").write_text(report.to_json())
         if report.losses:
             print(f"{tag}: {report.steps} steps, final loss {report.losses[-1]:.5f}")
         else:
             print(f"{tag}: no steps")
-
-    if args.mode == "joint":
-        save("joint", joint_train(params, trainset, train_cfg))
-        return EXIT_OK
-
-    if args.mode == "finetune" or kind not in ATTENTION_KINDS:
-        if args.mode == "faset":
-            print(f"note: aggregator {kind!r} has no separable attention stage; "
-                  f"stage 1 trains the whole network and stage 2 is routed to finetune")
-        save("stage1", single_view_train(params, trainset, train_cfg))
-        save("stage2", finetune(params, trainset, train_cfg))
-        return EXIT_OK
-
-    save("stage1", faset_stage1(params, trainset, train_cfg))
-    save("stage2", faset_stage2(params, trainset, train_cfg))
     return EXIT_OK
 
 
@@ -131,7 +121,8 @@ def cmd_eval(args) -> int:
     from .metrics import eval_sweep
     from .model import load_checkpoint
 
-    cfg, out_dir = _resolve(args)
+    cfg = _config(args)
+    out_dir = _out_dir(cfg)
     testset, _ = _load_split(cfg, "test")
     ck = cfg.paths["checkpoint"] or str(out_dir / "stage2.sfck")
     if not Path(ck).exists():
@@ -149,7 +140,8 @@ def cmd_eval(args) -> int:
 def cmd_bench(args) -> int:
     from .bench import run_bench
 
-    cfg, out_dir = _resolve(args)
+    cfg = _config(args)
+    out_dir = _out_dir(cfg)
     report = run_bench(cfg.bench, model_cfg=cfg.model)
     (out_dir / "bench.csv").write_text(report.to_csv())
     (out_dir / "bench.json").write_text(report.to_json())
@@ -198,13 +190,10 @@ def main(argv: list[str] | None = None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except FormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
     except (ContractError, ShapeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONTRACT
-    except (OSError, GenerationError) as e:
+    except (FormatError, OSError, GenerationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
     except NumericOverflowError as e:

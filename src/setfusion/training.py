@@ -25,7 +25,9 @@ together under the configured set-size regime. ``finetune`` updates every
 trainable tensor at the (much smaller) finetune rate and is the stage-2
 stand-in for aggregators without a separable attention module;
 ``single_view_train`` is their stage 1, stage 1's schedule over every
-parameter.
+parameter. ``schedule`` is the one place that picks the trainers that
+``setfusion train --mode`` runs. Stage 2 trains the attention group or
+raises a ``ContractError`` that points a model without one at ``finetune``.
 
 The encoder is shared and applied to each view independently, so a step
 encodes all of its views in one ``encode_batch`` call; the encoder's
@@ -51,14 +53,13 @@ optimizer state is reset at stage boundaries.
 from __future__ import annotations
 
 import json
-import logging
 import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .aggregators import SetBatch, aggregate
+from .aggregators import ATTENTION_KINDS, SetBatch, aggregate
 from .errors import ContractError, NumericOverflowError
 from .model import ParamBundle, _agg_params, decode_batch, encode_batch
 from .tensor import Tensor
@@ -75,9 +76,8 @@ __all__ = [
     "faset_stage2",
     "joint_train",
     "finetune",
+    "schedule",
 ]
-
-log = logging.getLogger(__name__)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -105,6 +105,10 @@ class TrainConfig:
             raise ContractError("step counts must be >= 0")
         if self.optimizer not in ("adam", "sgd"):
             raise ContractError(f"unknown optimizer {self.optimizer!r}")
+        for key in ("learning_rate", "finetune_rate"):
+            rate = getattr(self, key)
+            if not (np.isfinite(rate) and rate >= 0):
+                raise ContractError(f"train.{key} must be finite and >= 0, got {rate}")
         parse_n_mode(self.n_mode)
 
 
@@ -136,13 +140,9 @@ class TrainReport:
     wallclock_ms: float
     base_checksum: str
     att_checksum: str
-    warning: str | None = None
 
     def to_json(self) -> str:
-        doc = asdict(self)
-        if not self.warning:
-            del doc["warning"]
-        return json.dumps(doc, indent=2) + "\n"
+        return json.dumps(asdict(self), indent=2) + "\n"
 
 
 def sample_minibatch(dataset, cfg: TrainConfig, step: int, n_mode: str | None = None):
@@ -294,11 +294,8 @@ def faset_stage2(params: ParamBundle, dataset, cfg: TrainConfig) -> TrainReport:
     """Stage 2: attention group only, set-level reconstructions."""
     _check_stage2_reachable(cfg.n_mode)
     if not params.att:
-        msg = "stage 2 is a no-op: the aggregator has no trainable parameters"
-        log.warning(msg)
-        return TrainReport(stage="stage2", steps=0, losses=[], wallclock_ms=0.0,
-                           base_checksum=params.checksum("base"),
-                           att_checksum=params.checksum("att"), warning=msg)
+        raise ContractError("stage 2 trains the attention group and this model has none; "
+                            "train its whole network with finetune")
     return _run(params, dataset, cfg, stage="stage2", steps=cfg.stage2_steps,
                 group="att", lr=cfg.learning_rate, n_mode=cfg.n_mode)
 
@@ -318,3 +315,16 @@ def finetune(params: ParamBundle, dataset, cfg: TrainConfig) -> TrainReport:
     pooling and recurrent aggregators."""
     return _run(params, dataset, cfg, stage="finetune", steps=cfg.stage2_steps,
                 group="all", lr=cfg.finetune_rate, n_mode=cfg.n_mode)
+
+
+def schedule(mode: str, kind: str, n_mode: str) -> tuple:
+    """The ``(checkpoint tag, trainer)`` pairs ``setfusion train --mode``
+    runs, in order. FASet on an attention kind first checks that ``n_mode``
+    reaches stage 2. Trainers are looked up at call time, so a patched
+    module attribute is the one returned."""
+    if mode == "joint":
+        return (("joint", joint_train),)
+    if mode == "faset" and kind in ATTENTION_KINDS:
+        _check_stage2_reachable(n_mode)
+        return (("stage1", faset_stage1), ("stage2", faset_stage2))
+    return (("stage1", single_view_train), ("stage2", finetune))

@@ -202,6 +202,37 @@ def test_set_size_out_of_reach_exits_before_reading_the_split(trained_run, tmp_p
     assert not list(out.glob("*.sfck")) and not (out / "eval.json").exists()
 
 
+def test_unreachable_stage2_writes_nothing(trained_run, tmp_path, capsys):
+    out = tmp_path / "o"
+    code = tiny_run("train", out, "--mode", "faset",
+                    "--set", f"paths.dataset_dir={trained_run / 'dataset'}",
+                    "--set", "train.n_mode=fixed:1")
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error: ") and "train.n_mode" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rate", ["-1e-3", "NaN", "1e400"])
+@pytest.mark.parametrize("key", ["learning_rate", "finetune_rate"])
+def test_bad_rate_is_rejected_before_any_file(trained_run, tmp_path, capsys, monkeypatch,
+                                              key, rate):
+    import setfusion.data as D
+
+    reads = []
+    real_load = D.load_dataset
+    monkeypatch.setattr(D, "load_dataset", lambda path: reads.append(path) or real_load(path))
+    out = tmp_path / "o"
+    code = tiny_run("train", out, "--mode", "faset",
+                    "--set", f"paths.dataset_dir={trained_run / 'dataset'}",
+                    "--set", f"train.{key}={rate}")
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error: ") and f"train.{key}" in err[0]
+    assert reads == []
+    assert not out.exists()
+
+
 def test_eval_checkpoint_with_flipped_magic_is_format_error(trained_run, tmp_path, capsys):
     blob = bytearray((trained_run / "stage2.sfck").read_bytes())
     blob[0] ^= 0xFF

@@ -341,11 +341,42 @@ def test_stage2_rejects_unreachable_sets(tiny_dataset):
         TR.faset_stage2(tiny_model(), tiny_dataset, tiny_train_cfg(n_mode="fixed:1"))
 
 
-def test_stage2_on_pooling_is_warned_noop(tiny_dataset):
+def test_stage2_on_pooling_is_refused(tiny_dataset):
     params = tiny_model("mean")
-    report = TR.faset_stage2(params, tiny_dataset, tiny_train_cfg())
-    assert report.steps == 0
-    assert report.warning is not None
+    base0, att0 = params.checksum("base"), params.checksum("att")
+    with pytest.raises(ContractError, match="finetune"):
+        TR.faset_stage2(params, tiny_dataset, tiny_train_cfg())
+    assert (params.checksum("base"), params.checksum("att")) == (base0, att0)
+
+
+# ----------------------------------------------------------------- schedule
+
+@pytest.mark.parametrize("kind", AGGREGATOR_KINDS)
+@pytest.mark.parametrize("mode", ["faset", "joint", "finetune"])
+def test_schedule_picks_the_trainers(mode, kind):
+    if mode == "joint":
+        expected = [("joint", TR.joint_train)]
+    elif mode == "faset" and kind in ("attsets_fc", "attsets_conv", "attsets_elem"):
+        expected = [("stage1", TR.faset_stage1), ("stage2", TR.faset_stage2)]
+    else:
+        expected = [("stage1", TR.single_view_train), ("stage2", TR.finetune)]
+    # tags compared by value, trainers by identity (functions compare by identity)
+    assert list(TR.schedule(mode, kind, "fixed:8")) == expected
+
+
+def test_schedule_returns_a_patched_trainer(monkeypatch):
+    def patched(params, dataset, cfg):
+        raise AssertionError("not called")
+
+    monkeypatch.setattr(TR, "faset_stage2", patched)
+    assert TR.schedule("faset", "attsets_fc", "fixed:8")[1][1] is patched
+
+
+def test_schedule_refuses_an_unreachable_stage2():
+    with pytest.raises(ContractError, match="train.n_mode"):
+        TR.schedule("faset", "attsets_fc", "fixed:1")
+    # finetune runs at any set size
+    assert TR.schedule("faset", "mean", "fixed:1")[1][1] is TR.finetune
 
 
 # -------------------------------------------------------------- joint_train
@@ -415,16 +446,12 @@ def test_finetune_zero_rate_is_identity(tiny_dataset):
 
 # ------------------------------------------------------------------ report
 
-def test_report_json_bytes_with_and_without_a_warning():
+def test_report_json_bytes():
     report = TR.TrainReport(stage="stage2", steps=2, losses=[0.5, 0.25], wallclock_ms=1.5,
                             base_checksum="ab", att_checksum="cd")
     body = ('{\n  "stage": "stage2",\n  "steps": 2,\n  "losses": [\n    0.5,\n    0.25\n  ],\n'
             '  "wallclock_ms": 1.5,\n  "base_checksum": "ab",\n  "att_checksum": "cd"')
     assert report.to_json() == body + "\n}\n"
-    report.warning = ""  # an empty warning is left out like a missing one
-    assert report.to_json() == body + "\n}\n"
-    report.warning = "no att"
-    assert report.to_json() == body + ',\n  "warning": "no att"\n}\n'
 
 
 def test_report_json_schema(tiny_dataset):
