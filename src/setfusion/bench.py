@@ -42,16 +42,17 @@ class BenchConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.repeats < 30 or self.warmups < 5:
-            raise ContractError("benchmark needs >= 30 repetitions after >= 5 warmups")
-        if self.inner_loops < 1:
-            raise ContractError(f"bench.inner_loops must be >= 1, got {self.inner_loops}")
+        for key, least in (("repeats", 30), ("warmups", 5), ("inner_loops", 1)):
+            if getattr(self, key) < least:
+                raise ContractError(f"bench.{key} must be >= {least}, got {getattr(self, key)}")
         grid = list(self.n_grid)
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])) or grid[0] < 1:
-            raise ContractError("n_grid must be non-empty, strictly increasing and >= 1")
+            raise ContractError(f"bench.n_grid must be non-empty, strictly increasing and >= 1, "
+                                f"got {grid}")
         unknown = set(self.aggregators) - set(AGGREGATOR_KINDS)
         if unknown:
-            raise ContractError(f"unknown aggregators {sorted(unknown)}")
+            raise ContractError(f"unknown bench.aggregators {sorted(unknown)}; "
+                                f"expected some of {', '.join(AGGREGATOR_KINDS)}")
 
 
 @dataclass

@@ -98,10 +98,10 @@ class DatasetMeta:
     split: str = ""  # populated by load_dataset
 
     def validate(self) -> None:
-        if self.train_count < 1 or self.test_count < 1:
-            raise ContractError("train and test counts must be >= 1")
-        if self.grid_side < 2 or self.image_side < 1:
-            raise ContractError("grid_side must be >= 2 and image_side >= 1")
+        for key, least in (("train_count", 1), ("test_count", 1), ("grid_side", 2),
+                           ("image_side", 1)):
+            if getattr(self, key) < least:
+                raise ContractError(f"data.{key} must be >= {least}, got {getattr(self, key)}")
         if not 0 <= self.seed < 2 ** 64:
             raise ContractError(f"data.seed must lie in [0, 2**64), got {self.seed}")
 

@@ -125,9 +125,13 @@ def best_threshold(pairs) -> tuple[float, float]:
 
 
 def choose_views(seed: int, sample_id: int, n: int, available: int) -> np.ndarray:
-    """Deterministic method-independent pick of ``n`` of ``available`` views."""
+    """Deterministic method-independent pick of ``n`` of ``available`` views,
+    in ascending order. Picking every view needs no draw: the sorted pick is
+    then ``arange(available)`` whatever the seed."""
     if n > available:
         raise ContractError(f"cannot pick {n} of {available} views")
+    if n == available:
+        return np.arange(available)
     rng = np.random.default_rng(np.random.SeedSequence([seed, int(sample_id), n]))
     return np.sort(rng.choice(available, size=n, replace=False))
 
@@ -136,9 +140,9 @@ def _check_counts(counts, stored: int | None = None) -> None:
     """Every view count is >= 1 and, given ``stored``, at most the views
     stored per test sample."""
     if any(n < 1 for n in counts):
-        raise ContractError("view counts must be >= 1")
+        raise ContractError(f"view counts must be >= 1, got eval.view_counts {list(counts)}")
     if stored is not None and any(n > stored for n in counts):
-        raise ContractError(f"view counts {counts} exceed the {stored} stored views")
+        raise ContractError(f"eval.view_counts {list(counts)} exceed the {stored} stored views")
 
 
 def _predicted_probs(params, testset, cfg: EvalConfig, n: int) -> list[tuple[int, np.ndarray, np.ndarray]]:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -70,7 +71,7 @@ class ModelConfig:
         for name in ("image_side", "latent_dim", "encoder_hidden", "decoder_hidden",
                      "grid_side", "max_views"):
             if getattr(self, name) < 1:
-                raise ContractError(f"{name} must be >= 1")
+                raise ContractError(f"model.{name} must be >= 1, got {getattr(self, name)}")
         if self.aggregator_kind not in AGGREGATOR_KINDS:
             raise ContractError(f"unknown model.aggregator_kind {self.aggregator_kind!r}; "
                                 f"expected one of {', '.join(AGGREGATOR_KINDS)}")
@@ -241,21 +242,42 @@ def save_checkpoint(params: ParamBundle, path) -> None:
 
 
 class _Reader:
-    """Reads a checkpoint's fields from a memoryview of the file's bytes."""
+    """Reads a checkpoint's fields from an open file, one field at a time.
 
-    def __init__(self, blob: bytes):
-        self.blob = memoryview(blob)
+    Every read is checked against the bytes left in the file before anything
+    is allocated, so a corrupted extent raises ``FormatError`` instead of
+    asking for a huge array."""
+
+    def __init__(self, f):
+        self.f = f
+        self.size = os.fstat(f.fileno()).st_size
         self.off = 0
 
-    def take(self, n: int, what: str) -> memoryview:
-        if self.off + n > len(self.blob):
+    def _advance(self, n: int, got: int, what: str) -> None:
+        if got != n:  # the file shrank after it was measured
             raise FormatError(f"truncated checkpoint while reading {what}", offset=self.off)
-        piece = self.blob[self.off : self.off + n]
         self.off += n
+
+    def take(self, n: int, what: str) -> bytes:
+        if self.off + n > self.size:
+            raise FormatError(f"truncated checkpoint while reading {what}", offset=self.off)
+        piece = self.f.read(n)
+        self._advance(n, len(piece), what)
         return piece
 
     def u32(self, what: str) -> int:
         return struct.unpack("<I", self.take(4, what))[0]
+
+    def values(self, shape: tuple, what: str) -> np.ndarray:
+        """A new writable little-endian float64 array of ``shape``, read in
+        place from the file (its offsets are not 8-byte aligned, so a view
+        of the file's bytes would be unaligned)."""
+        n = 8 * math.prod(shape)
+        if self.off + n > self.size:
+            raise FormatError(f"truncated checkpoint while reading {what}", offset=self.off)
+        arr = np.empty(shape, dtype="<f8")
+        self._advance(n, self.f.readinto(arr.reshape(-1).view(np.uint8)), what)
+        return arr
 
 
 def _expected_tensors(cfg: ModelConfig) -> set:
@@ -273,42 +295,46 @@ def _expected_tensors(cfg: ModelConfig) -> set:
 def load_checkpoint(path, cfg: ModelConfig | None = None) -> ParamBundle:
     """Bit-exact inverse of ``save_checkpoint``. With a ``cfg``, the file's
     tensors must be exactly those that config builds, by name, group and
-    shape; a mismatch raises ``ContractError``."""
+    shape; a mismatch raises ``ContractError``.
+
+    Each tensor's values are read straight from the file into that tensor's
+    own array, with no copy of the whole file in memory. A malformed file
+    raises ``FormatError`` at the offset of the first bad field: a
+    truncated field (checked against the file's size before any array is
+    allocated), a name that is not UTF-8 or repeats an earlier one, an
+    unknown group tag, a rank above 32, or trailing bytes."""
     with open(path, "rb") as f:
-        blob = f.read()
-    r = _Reader(blob)
-    magic = bytes(r.take(4, "magic"))
-    if magic != CHECKPOINT_MAGIC:
-        raise FormatError(f"bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}", offset=0)
-    version = r.u32("version")
-    if version != CHECKPOINT_VERSION:
-        raise FormatError(
-            f"checkpoint version {version}, this build reads version {CHECKPOINT_VERSION}", offset=4)
-    count = r.u32("tensor count")
-    groups: dict[str, dict[str, Tensor]] = {"base": {}, "att": {}}
-    for _ in range(count):
-        name_len = r.u32("name length")
-        name_off = r.off
-        try:
-            name = str(r.take(name_len, "name"), "utf-8")
-        except UnicodeDecodeError:
-            raise FormatError("tensor name is not valid UTF-8", offset=name_off) from None
-        if any(name in g for g in groups.values()):
-            raise FormatError(f"tensor name {name!r} repeats an earlier one", offset=name_off)
-        tag_byte = r.take(1, "group tag")[0]
-        if tag_byte not in _TAG_GROUPS:
-            raise FormatError(f"unknown group tag {tag_byte}", offset=r.off - 1)
-        rank_off = r.off
-        rank = r.u32("rank")
-        if rank > _MAX_RANK:
-            raise FormatError(f"rank {rank} exceeds the supported {_MAX_RANK}", offset=rank_off)
-        shape = struct.unpack(f"<{rank}I", r.take(4 * rank, "extents")) if rank else ()
-        n_vals = math.prod(shape)
-        raw = r.take(8 * n_vals, f"values of {name}")
-        data = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()  # copied once, writable
-        groups[_TAG_GROUPS[tag_byte]][name] = Tensor(data, requires_grad=True)
-    if r.off != len(blob):
-        raise FormatError("trailing bytes after final tensor", offset=r.off)
+        r = _Reader(f)
+        magic = r.take(4, "magic")
+        if magic != CHECKPOINT_MAGIC:
+            raise FormatError(f"bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}", offset=0)
+        version = r.u32("version")
+        if version != CHECKPOINT_VERSION:
+            raise FormatError(
+                f"checkpoint version {version}, this build reads version {CHECKPOINT_VERSION}", offset=4)
+        count = r.u32("tensor count")
+        groups: dict[str, dict[str, Tensor]] = {"base": {}, "att": {}}
+        for _ in range(count):
+            name_len = r.u32("name length")
+            name_off = r.off
+            try:
+                name = str(r.take(name_len, "name"), "utf-8")
+            except UnicodeDecodeError:
+                raise FormatError("tensor name is not valid UTF-8", offset=name_off) from None
+            if any(name in g for g in groups.values()):
+                raise FormatError(f"tensor name {name!r} repeats an earlier one", offset=name_off)
+            tag_byte = r.take(1, "group tag")[0]
+            if tag_byte not in _TAG_GROUPS:
+                raise FormatError(f"unknown group tag {tag_byte}", offset=r.off - 1)
+            rank_off = r.off
+            rank = r.u32("rank")
+            if rank > _MAX_RANK:
+                raise FormatError(f"rank {rank} exceeds the supported {_MAX_RANK}", offset=rank_off)
+            shape = struct.unpack(f"<{rank}I", r.take(4 * rank, "extents")) if rank else ()
+            data = r.values(shape, f"values of {name}")
+            groups[_TAG_GROUPS[tag_byte]][name] = Tensor(data, requires_grad=True)
+        if r.off != r.size:
+            raise FormatError("trailing bytes after final tensor", offset=r.off)
     params = ParamBundle(base=groups["base"], att=groups["att"], cfg=cfg)
     if cfg is not None:
         expected = _expected_tensors(cfg)

@@ -29,6 +29,13 @@ rest of the package leans on:
 * ``matmul_rows`` computes each output row as its own [1,K] @ [K,P]
   product in one stacked numpy call: a row's bits then cannot depend on
   where it sits in the stack (plain gemm does not guarantee that).
+* ``sigmoid`` (and ``gru_cell``, which shares its body) computes
+  ``exp(min(x, 0)) / (1 + exp(-|x|))`` with one divide, the numerator in
+  the output array and the denominator formed in L2-sized blocks. No
+  exp can overflow, and the numerator is exactly 1 for x >= 0 and exactly
+  ``exp(-|x|)`` for x < 0, so every value, signed zeros, infinities and
+  subnormals included, has the bits of the two-branch formula
+  ``where(x >= 0, 1 / d, e / d)``.
 * ``gru_cell`` is one GRU step over a batch of rows as a single primitive
   with a hand-derived backward, bit-identical to the same step spelled out
   in primitives, so a recurrent step costs one tape entry however many sets
@@ -308,11 +315,24 @@ def ew_binary(op: str, a: Tensor, b: Tensor) -> Tensor:
     return _op(op, value, (a, b), bwd)
 
 
+# _sigmoid forms its denominator in blocks of this many elements, so each
+# block stays in L2 and no second full-size buffer is allocated.
+SIGMOID_BLOCK = 16384
+
+
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp(-|x|) cannot overflow; one exp serves both branches
-    e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    # exp(min(x, 0)) / (1 + exp(-|x|)); one divide has the bits of both
+    # branches of where(x >= 0, 1 / d, e / d) (module docstring)
+    y = np.minimum(x, 0.0, out=np.empty(x.shape))
+    np.exp(y, out=y)
+    xs, ys = x.reshape(-1), y.reshape(-1)
+    for lo in range(0, xs.size, SIGMOID_BLOCK):
+        d = np.abs(xs[lo : lo + SIGMOID_BLOCK])
+        np.negative(d, out=d)
+        np.exp(d, out=d)
+        d += 1.0
+        ys[lo : lo + SIGMOID_BLOCK] /= d
+    return y
 
 
 def sigmoid(a: Tensor) -> Tensor:

@@ -100,11 +100,12 @@ class TrainConfig:
 
     def validate(self) -> None:
         if self.batch_size < 1:
-            raise ContractError("batch_size must be >= 1")
-        if self.stage1_steps < 0 or self.stage2_steps < 0:
-            raise ContractError("step counts must be >= 0")
+            raise ContractError(f"train.batch_size must be >= 1, got {self.batch_size}")
+        for key in ("stage1_steps", "stage2_steps"):
+            if getattr(self, key) < 0:
+                raise ContractError(f"train.{key} must be >= 0, got {getattr(self, key)}")
         if self.optimizer not in ("adam", "sgd"):
-            raise ContractError(f"unknown optimizer {self.optimizer!r}")
+            raise ContractError(f"unknown train.optimizer {self.optimizer!r}; expected adam or sgd")
         for key in ("learning_rate", "finetune_rate"):
             rate = getattr(self, key)
             if not (np.isfinite(rate) and rate >= 0):
@@ -129,7 +130,7 @@ def parse_n_mode(spec: str) -> tuple:
             return ("uniform", lo, hi)
     except ValueError:
         pass
-    raise ContractError(f"bad n_mode {spec!r}; use 'fixed:N' or 'uniform:LO:HI'")
+    raise ContractError(f"bad train.n_mode {spec!r}; use 'fixed:N' or 'uniform:LO:HI'")
 
 
 @dataclass

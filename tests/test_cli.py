@@ -369,7 +369,25 @@ def test_config_file_with_unknown_key(tmp_path, capsys):
     (["--set", "model.aggregator_kind=bogus"], "model.aggregator_kind"),
     (["--set", "train.n_mode=fixed:9"], "train.n_mode"),
     (["--set", "train.n_mode=uniform:2:9"], "train.n_mode"),
-    (["--set", "eval.view_counts=[1,9]"], "eval.view_counts")])
+    (["--set", "eval.view_counts=[1,9]"], "eval.view_counts"),
+    (["--set", "eval.view_counts=[0,1]"], "eval.view_counts"),
+    (["--set", "train.batch_size=0"], "train.batch_size"),
+    (["--set", "train.stage1_steps=-1"], "train.stage1_steps"),
+    (["--set", "train.stage2_steps=-1"], "train.stage2_steps"),
+    (["--set", "train.optimizer=rmsprop"], "train.optimizer"),
+    (["--set", "train.n_mode=bogus"], "train.n_mode"),
+    (["--set", "model.latent_dim=0"], "model.latent_dim"),
+    (["--set", "model.encoder_hidden=0"], "model.encoder_hidden"),
+    (["--set", "model.decoder_hidden=0"], "model.decoder_hidden"),
+    (["--set", "model.max_views=0"], "model.max_views"),
+    (["--set", "data.train_count=0"], "data.train_count"),
+    (["--set", "data.test_count=0"], "data.test_count"),
+    (["--set", "data.grid_side=1"], "data.grid_side"),
+    (["--set", "data.image_side=0"], "data.image_side"),
+    (["--set", "bench.repeats=29"], "bench.repeats"),
+    (["--set", "bench.warmups=4"], "bench.warmups"),
+    (["--set", "bench.n_grid=[]"], "bench.n_grid"),
+    (["--set", 'bench.aggregators=["bogus"]'], "bench.aggregators")])
 def test_invalid_config_is_rejected_before_any_file(tmp_path, capsys, argv, named):
     (tmp_path / "latin1.json").write_bytes('{"data": {"seed": "\xe9"}}'.encode("latin-1"))
     argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]

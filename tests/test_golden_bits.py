@@ -1,13 +1,14 @@
 """Training, evaluation and prediction bits pinned against a committed record.
 
-For every aggregator kind this runs the routing of ``setfusion train`` for
-three steps per stage on a tiny model over a G = 8 dataset: FASet's two
-stages for the attention kinds, ``single_view_train`` + ``finetune`` for the
-others, then ``joint_train`` from a fresh init; all with Adam, plus one
-``attsets_fc`` FASet run with SGD. Each run records its reports' losses as
-``float.hex`` and the base and att checksums, the SHA-256 of
-``eval_sweep(...).to_json()`` at N in {1, 3}, and the SHA-256 of
-``predict``'s probability and attention-score bytes on one 3-view sample.
+For every aggregator kind this runs ``training.schedule``, the routing of
+``setfusion train``, for three steps per stage on a tiny model over a G = 8
+dataset: ``--mode faset`` (FASet's two stages for the attention kinds,
+``single_view_train`` + ``finetune`` for the others), then ``--mode joint``
+from a fresh init; all with Adam, plus one ``attsets_fc`` FASet run with
+SGD. Each run records its reports' losses as ``float.hex`` and the base and
+att checksums, the SHA-256 of ``eval_sweep(...).to_json()`` at N in {1, 3},
+and the SHA-256 of ``predict``'s probability and attention-score bytes on
+one 3-view sample.
 
 Golden policy, shared with ``test_generated_bytes_match_golden_digest`` in
 ``test_data.py``: bits depend on the numpy and BLAS builds, and the record
@@ -26,12 +27,11 @@ from pathlib import Path
 
 import numpy as np
 
-from setfusion.aggregators import AGGREGATOR_KINDS, ATTENTION_KINDS
+from setfusion.aggregators import AGGREGATOR_KINDS
 from setfusion.data import DatasetMeta, generate_dataset, load_dataset
 from setfusion.metrics import EvalConfig, eval_sweep
 from setfusion.model import ModelConfig, model_init, predict
-from setfusion.training import (TrainConfig, faset_stage1, faset_stage2, finetune,
-                                joint_train, single_view_train)
+from setfusion.training import TrainConfig, schedule
 
 GOLDEN = Path(__file__).with_name("golden_bits.json")
 META = DatasetMeta(train_count=8, test_count=4, grid_side=8, image_side=8, seed=11)
@@ -62,14 +62,8 @@ def _run(kind, optimizer, trainset, testset, joint=False) -> dict:
     train_cfg = TrainConfig(batch_size=4, stage1_steps=3, stage2_steps=3,
                             n_mode="uniform:1:4", optimizer=optimizer, seed=3)
     params = model_init(model_cfg)
-    if joint:
-        trainers = (joint_train,)
-    elif kind in ATTENTION_KINDS:
-        trainers = (faset_stage1, faset_stage2)
-    else:
-        trainers = (single_view_train, finetune)
     reports = []
-    for trainer in trainers:
+    for _, trainer in schedule("joint" if joint else "faset", kind, train_cfg.n_mode):
         report = trainer(params, trainset, train_cfg)
         reports.append({"stage": report.stage, "losses": [x.hex() for x in report.losses],
                         "base_checksum": report.base_checksum,

@@ -84,6 +84,15 @@ def test_choose_views_is_method_independent_and_deterministic():
     assert not (np.array_equal(a, c) and np.array_equal(a, d))
 
 
+@pytest.mark.parametrize("available", [1, 3, 8])
+def test_choose_views_of_every_view_equals_the_sorted_draw(available):
+    for seed, sample_id in [(0, 0), (3, 17), (5, 2**31), (2**63, 4)]:
+        rng = np.random.default_rng(np.random.SeedSequence([seed, sample_id, available]))
+        drawn = np.sort(rng.choice(available, size=available, replace=False))
+        picked = E.choose_views(seed, sample_id, available, available)
+        assert picked.dtype == drawn.dtype and np.array_equal(picked, drawn)
+
+
 def test_choose_views_rejects_overdraw():
     with pytest.raises(ContractError):
         E.choose_views(0, 0, 9, 8)

@@ -213,15 +213,46 @@ def test_checkpoint_bad_version(tmp_path):
         M.load_checkpoint(path)
 
 
+def _value_offsets(params) -> dict:
+    """Byte offset of each tensor's values in ``save_checkpoint``'s layout."""
+    offsets, off = {}, 12  # magic, version, tensor count
+    for name, _, t in params.named():
+        off += 4 + len(name.encode()) + 1 + 4 + 4 * t.data.ndim
+        offsets[name] = off
+        off += 8 * t.size
+    return offsets
+
+
 def test_checkpoint_truncation_reports_offset(tmp_path):
     params = M.model_init(tiny_cfg())
     path = tmp_path / "model.sfck"
     M.save_checkpoint(params, path)
     blob = path.read_bytes()
-    path.write_bytes(blob[: len(blob) // 2])
-    with pytest.raises(FormatError) as exc:
+    cut = len(blob) // 2
+    path.write_bytes(blob[:cut])
+    # the cut falls inside a tensor's values, so the read of those fails
+    name, start = max(((n, o) for n, o in _value_offsets(params).items() if o <= cut),
+                      key=lambda r: r[1])
+    assert cut < start + 8 * params.group("all")[name].size
+    with pytest.raises(FormatError, match=f"values of {name}") as exc:
         M.load_checkpoint(path)
-    assert exc.value.offset is not None
+    assert exc.value.offset == start
+
+
+def test_checkpoint_huge_extent_is_format_error_before_allocating(tmp_path):
+    params = M.model_init(tiny_cfg())
+    path = tmp_path / "model.sfck"
+    M.save_checkpoint(params, path)
+    blob = bytearray(path.read_bytes())
+    name, _, first = params.named()[0]
+    values_off = _value_offsets(params)[name]
+    assert values_off == 34  # after att_W's name, tag, rank and two extents
+    extent_off = values_off - 4 * first.data.ndim
+    blob[extent_off : extent_off + 4] = (2 ** 32 - 1).to_bytes(4, "little")
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match=f"values of {name}") as exc:
+        M.load_checkpoint(path)
+    assert exc.value.offset == values_off
 
 
 def test_checkpoint_non_utf8_name_reports_offset(tmp_path):

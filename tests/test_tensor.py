@@ -317,6 +317,26 @@ def test_sigmoid_matches_three_exp_formula_bit_for_bit():
     assert np.array_equal(T.sigmoid(T.Tensor(x)).data, want)
 
 
+_EDGES = [0.0, -0.0, np.inf, -np.inf, np.nextafter(0.0, 1.0), -np.nextafter(0.0, 1.0), 1e-310,
+          -1e-310, 2.2e-308, -2.2e-308, 745.0, -745.0, 746.0, -746.0, 800.0, -800.0, 1e308, -1e308]
+
+
+@pytest.mark.parametrize("x", [
+    np.array(_EDGES),
+    np.array(-3.5),
+    np.random.default_rng(3).standard_normal((40, 30)).T * 50.0,
+    np.random.default_rng(4).standard_normal(2 * T.SIGMOID_BLOCK + 5) * 800.0,
+], ids=["edges", "rank0", "transposed", "partial_block"])
+def test_sigmoid_matches_the_two_branch_formula_bit_for_bit(x):
+    with np.errstate(under="ignore"):
+        e = np.exp(-np.abs(x))
+        want = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        got = T.sigmoid(T.Tensor(x)).data
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    with np.errstate(invalid="ignore"), pytest.raises(NumericOverflowError, match="^sigmoid"):
+        T.sigmoid(T.Tensor(x * np.nan))
+
+
 def test_backward_rejects_nonscalar():
     x = T.Tensor([1.0, 2.0], requires_grad=True)
     with T.Tape() as tape:
