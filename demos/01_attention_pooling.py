@@ -8,11 +8,11 @@ attention scores form a per-slot distribution over the set.
 
 import numpy as np
 
-from setfusion import FeatureSet, Tensor, aggregate, aggregator_init
+from setfusion import SetBatch, Tensor, aggregate, aggregator_init
 
 rng = np.random.default_rng(0)
 x = rng.standard_normal((4, 6)).round(2)
-fset = FeatureSet(Tensor(x))
+one_set = SetBatch(Tensor(x))
 
 print("feature set (4 elements, 6 features each):")
 print(x, "\n")
@@ -23,16 +23,15 @@ for kind in ("attsets_fc", "attsets_elem", "max", "mean", "sum", "gru"):
     for w in params.weights.values():
         if kind.startswith("attsets"):
             w.data[:] = rng.standard_normal(w.shape) * 0.5
-    y, attn = aggregate(fset, params)
+    y, scores = aggregate(one_set, params)
 
     perm = rng.permutation(4)
-    y_perm, _ = aggregate(FeatureSet(Tensor(x[perm])), params)
+    y_perm, _ = aggregate(SetBatch(Tensor(x[perm])), params)
     drift = np.abs(y.data - y_perm.data).max()
 
-    print(f"{kind:>12}:  output {np.round(y.data, 3)}")
+    print(f"{kind:>12}:  output {np.round(y.data[0], 3)}")
     print(f"{'':>12}   max |change| under permutation: {drift:.2e}")
-    if attn is not None:
-        scores = attn.scores.data.reshape(4, -1)
+    if scores is not None:
         print(f"{'':>12}   attention column sums: {np.round(scores.sum(axis=0), 12)}")
     print()
 

@@ -5,8 +5,8 @@ sets, verified against the finite-difference oracle.
 
 import numpy as np
 
-from setfusion import AggregatorParams, FeatureSet, Tensor, aggregate, finite_diff_grad
-from setfusion.tensor import Tape, ew_binary, reduce_sum
+from setfusion import AggregatorParams, SetBatch, Tensor, aggregate, finite_diff_grad
+from setfusion.tensor import Tape, ew_binary, reduce_sum, reshape
 
 rng = np.random.default_rng(7)
 d = 5
@@ -14,8 +14,8 @@ probe = Tensor(rng.standard_normal(d))  # random linear readout of the output
 
 
 def loss_for(x, w):
-    y, _ = aggregate(FeatureSet(Tensor(x)), AggregatorParams("attsets_fc", {"W": w}))
-    return reduce_sum(ew_binary("mul", y, probe), 0)
+    y, _ = aggregate(SetBatch(Tensor(x)), AggregatorParams("attsets_fc", {"W": w}))
+    return reduce_sum(ew_binary("mul", reshape(y, [d]), probe), 0)
 
 
 for n in (1, 2, 6):

@@ -18,28 +18,28 @@ The package is organized as a small numpy-backed library:
   and the ``setfusion`` command-line front end.
 """
 
-from .aggregators import (AGGREGATOR_KINDS, AggregatorParams, AttentionMap, FeatureSet,
-                          SetBatch, aggregate, aggregator_init)
+from .aggregators import (AGGREGATOR_KINDS, AggregatorParams, AttentionMap, SetBatch, aggregate,
+                          aggregator_init)
 from .data import (DatasetMeta, MultiViewSample, ShapeSpec, generate_dataset,
                    load_dataset, make_shape, render_view)
 from .metrics import EvalConfig, EvalReport, eval_sweep, iou, threshold_search
 from .model import (ModelConfig, ParamBundle, VoxelGrid, load_checkpoint, model_init, predict,
                     save_checkpoint)
-from .tensor import Tape, Tensor, backward, finite_diff_grad
+from .tensor import Tape, Tensor, finite_diff_grad
 from .training import (TrainConfig, TrainReport, faset_stage1, faset_stage2, finetune,
                        joint_train, optimizer_step, sample_minibatch, single_view_train)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AGGREGATOR_KINDS", "AggregatorParams", "AttentionMap", "FeatureSet",
-    "SetBatch", "aggregate", "aggregator_init",
+    "AGGREGATOR_KINDS", "AggregatorParams", "AttentionMap", "SetBatch", "aggregate",
+    "aggregator_init",
     "DatasetMeta", "MultiViewSample", "ShapeSpec", "generate_dataset",
     "load_dataset", "make_shape", "render_view",
     "EvalConfig", "EvalReport", "eval_sweep", "iou", "threshold_search",
     "ModelConfig", "ParamBundle", "VoxelGrid", "load_checkpoint", "model_init", "predict",
     "save_checkpoint",
-    "Tape", "Tensor", "backward", "finite_diff_grad",
+    "Tape", "Tensor", "finite_diff_grad",
     "TrainConfig", "TrainReport", "faset_stage1", "faset_stage2", "finetune",
     "joint_train", "optimizer_step", "sample_minibatch", "single_view_train",
     "__version__",

@@ -9,12 +9,13 @@ the set axis with a softmax, and sums the score-weighted features:
     scores      = softmax over the set axis, independently per slot
     output      = sum_n  X[n] * scores[n]
 
-The kernel sees every set as [N, S, C], passed flat as [N, S*C]; the three
-attention kinds differ only in shape. ``attsets_fc`` is a D x D map on an
-[N, D] vector set (S = 1); ``attsets_conv`` shares a pointwise C x C map
-across the S spatial locations of an [N, S, C] set -- the filter-size-1
-convolutional form, covering both 2D and 3D feature maps since locations
-are flattened -- so each location behaves exactly like ``attsets_fc`` on
+The kernel sees every set as [N, S*C] rows, with C the rows of the
+attention weight and S = row width / C; the three attention kinds differ
+only in shape. ``attsets_fc`` is a D x D map on an [N, D] vector set
+(S = 1); ``attsets_conv`` shares a pointwise C x C map across the S
+spatial positions of a set stored as [N, S*C] -- the filter-size-1
+convolutional form, covering both 2D and 3D feature maps since positions
+are flattened -- so each position behaves exactly like ``attsets_fc`` on
 its [N, C] slice; and ``attsets_elem`` is a D x 1 map on an [N, D] set,
 one scalar score per element broadcast over all of its features. A bias
 would add the same constant to every element's activation in a slot,
@@ -24,12 +25,12 @@ sequence, which is deliberately order-dependent; each of its steps is one
 fused ``gru_cell``.
 
 ``aggregate`` is the one entry point for every kind, named by
-``params.kind`` (one of ``AGGREGATOR_KINDS``). It takes one ``FeatureSet``
-or a ``SetBatch`` of M sets stored back to back. Every kind but the GRU is
-one kernel that reduces each column of an [N, L*C] set over its N rows on
-its own. L is a set's number of locations, or for a batch the m sets of
-size n gathered into one [n, m*D] bucket, set k in column group k. Each
-set's fused bits are then those of aggregating it alone; only an attention
+``params.kind`` (one of ``AGGREGATOR_KINDS``), and ``SetBatch`` the one set
+type: M sets stored back to back in [R, D] rows, or one set when no
+lengths are given. Every kind but the GRU is one kernel that reduces each
+column of an [n, m*D] bucket over its n rows on its own, one bucket per
+set size n, set k of the bucket in column group k. Each set's fused bits
+and scores are then those of aggregating it alone; only an attention
 weight's gradient, one product per bucket, differs in its last bits. The
 GRU runs a batch as one packed recurrence, longest set first: time step i
 is one ``gru_cell`` on the rows of the sets that still have a view i. One
@@ -57,7 +58,6 @@ from .errors import ContractError, ShapeError
 from .tensor import Tensor
 
 __all__ = [
-    "FeatureSet",
     "SetBatch",
     "AttentionMap",
     "AggregatorParams",
@@ -74,43 +74,22 @@ AGGREGATOR_KINDS = ATTENTION_KINDS + POOL_KINDS + ("gru",)
 
 
 @dataclass
-class FeatureSet:
-    """An unordered stack of per-element features: [N, D] or [N, S, C]."""
-
-    data: Tensor
-
-    def __post_init__(self):
-        if not isinstance(self.data, Tensor):
-            self.data = Tensor(np.asarray(self.data, dtype=np.float64))
-        if self.data.data.ndim not in (2, 3):
-            raise ShapeError(f"feature set must be [N,D] or [N,S,C], got {list(self.data.shape)}")
-        if self.n < 1:
-            raise ContractError("feature set needs at least one element")
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        """Feature width an aggregator's weights must match (D, or C for spatial sets)."""
-        return self.data.shape[-1]
-
-
-@dataclass
 class SetBatch:
     """M sets stored back to back in the rows of one [R, D] matrix: set j is
-    the next ``lengths[j]`` rows, so R is the sum of the lengths."""
+    the next ``lengths[j]`` rows, so R is the sum of the lengths. Without
+    lengths the rows are one set."""
 
     data: Tensor
-    lengths: tuple[int, ...]
+    lengths: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if not isinstance(self.data, Tensor):
             self.data = Tensor(np.asarray(self.data, dtype=np.float64))
-        self.lengths = tuple(int(n) for n in self.lengths)
         if self.data.data.ndim != 2:
             raise ShapeError(f"a set batch stores [R,D] rows, got {list(self.data.shape)}")
+        if self.lengths is None:
+            self.lengths = (self.data.shape[0],)
+        self.lengths = tuple(int(n) for n in self.lengths)
         if not self.lengths or min(self.lengths) < 1:
             raise ContractError("a set batch needs at least one set, each of at least one row")
         if sum(self.lengths) != self.data.shape[0]:
@@ -164,32 +143,27 @@ def aggregator_init(kind: str, width: int, seed: int = 0) -> AggregatorParams:
     return AggregatorParams(kind=kind, weights=weights)
 
 
-def _check_width(weight: Tensor, width: int) -> None:
-    if weight.shape[0] != width:
-        raise ShapeError(f"feature width {width} does not match weights {list(weight.shape)}")
-
-
-def _attend(x: Tensor, w: Tensor, locations: int = 1) -> tuple[Tensor, Tensor]:
-    """The one AttSets module on a set stored as [N, S*C] (S = ``locations``):
-    a shared C x C map (or C x 1, one score per element) scores every
-    location's C features, and the scores, normalized over the set axis,
+def _attend(x: Tensor, w: Tensor) -> tuple[Tensor, Tensor]:
+    """The one AttSets module on a set stored as [N, S*C], with C the rows of
+    ``w``: a shared C x C map (or C x 1, one score per element) scores every
+    position's C features, and the scores, normalized over the set axis,
     weight a sum over it. Returns the fused [S*C] features and the scores.
     """
-    n, ch = x.shape[0], x.shape[1] // locations
-    _check_width(w, ch)
-    c = T.matmul_rows(T.reshape(x, [n * locations, ch]), w)
-    s = T.softmax_set(T.reshape(c, [n, locations * w.shape[1]]))
-    if w.shape[1] != ch:  # one score per element and location, spread over its C features
-        s = T.reshape(T.repeat_cols(T.reshape(s, [n * locations, 1]), ch), [n, locations * ch])
+    n, ch = x.shape[0], w.shape[0]
+    rows = x.size // ch  # N*S rows of one position's C features
+    c = T.matmul_rows(T.reshape(x, [rows, ch]), w)
+    s = T.softmax_set(T.reshape(c, [n, c.size // n]))
+    if w.shape[1] != ch:  # one score per element and position, spread over its C features
+        s = T.reshape(T.repeat_cols(T.reshape(s, [rows, 1]), ch), list(x.shape))
     return T.set_sum(T.ew_binary("mul", x, s)), s
 
 
-def _fuse(x: Tensor, params: AggregatorParams, locations: int = 1) -> tuple[Tensor, Tensor | None]:
-    """Every kind but the GRU on an [N, L*C] set (L = ``locations``): the
-    fused [L*C] features and the [N, L*C] scores (None for poolings)."""
-    kind = params.kind
+def _fuse(x: Tensor, kind: str, w: Tensor | None) -> tuple[Tensor, Tensor | None]:
+    """Every kind but the GRU on an [N, L*C] set, ``w`` the attention
+    weight: the fused [L*C] features and the [N, L*C] scores (None for
+    poolings)."""
     if kind in ATTENTION_KINDS:
-        return _attend(x, params.weights["w" if kind == "attsets_elem" else "W"], locations)
+        return _attend(x, w)
     if kind == "max":
         return T.set_max(x), None
     if kind == "sum":
@@ -237,39 +211,31 @@ def _gru_packed(x: Tensor, lengths: tuple[int, ...], w: dict[str, Tensor]) -> Te
     return T.take_rows(T.stack_rows(blocks), final)
 
 
-def aggregate(sets: FeatureSet | SetBatch, params: AggregatorParams
-              ) -> tuple[Tensor, AttentionMap | None]:
-    """Aggregate with ``params.kind``: the one entry point for every kind.
-
-    On one ``FeatureSet`` returns (fused features, attention map). The
-    features have one element's shape, [D] or [S, C]; the map has the set's
-    shape, None for poolings and the GRU. Only ``attsets_conv`` takes
-    [N, S, C]. On a ``SetBatch`` of M sets returns ([M, D] fused rows in
-    set order, None).
+def aggregate(batch: SetBatch, params: AggregatorParams
+              ) -> tuple[Tensor, np.ndarray | None]:
+    """Aggregate the sets of ``batch`` with ``params.kind``: the one entry
+    point for every kind. Returns the [M, D] fused rows in set order and,
+    for the attention kinds, the batch's [R, D] scores in row order as a
+    plain array that no tape records (None for poolings and the GRU).
+    One kernel call per set size, or the packed GRU; see the module notes.
     """
-    if isinstance(sets, SetBatch):
-        return _aggregate_batch(sets, params)
-    x = sets.data
-    if x.data.ndim == 3 and params.kind != "attsets_conv":
-        raise ShapeError(f"{params.kind} needs an [N,D] set, got {list(x.shape)}")
-    if params.kind == "gru":
-        _check_width(params.weights["Wz"], sets.width)
-        return T.reshape(_gru_packed(x, (sets.n,), params.weights), [sets.width]), None
-    y, s = _fuse(T.reshape(x, [sets.n, x.size // sets.n]), params, x.size // (sets.n * sets.width))
-    return T.reshape(y, x.shape[1:]), s if s is None else AttentionMap(T.reshape(s, x.shape))
-
-
-def _aggregate_batch(batch: SetBatch, params: AggregatorParams) -> tuple[Tensor, None]:
-    """One kernel call per set size, or the packed GRU; see the module notes."""
-    if params.kind == "gru":
-        return _gru_packed(batch.data, batch.lengths, params.weights), None
-    lengths, width = batch.lengths, batch.data.shape[1]
+    kind, lengths, width = params.kind, batch.lengths, batch.data.shape[1]
+    if kind == "gru":
+        return _gru_packed(batch.data, lengths, params.weights), None
+    w = scores = None
+    if kind in ATTENTION_KINDS:
+        w = params.weights["w" if kind == "attsets_elem" else "W"]
+        if width % w.shape[0] if kind == "attsets_conv" else width != w.shape[0]:
+            raise ShapeError(f"{kind} cannot fuse width {width} with weights {list(w.shape)}")
+        scores = np.empty((batch.data.shape[0], width))
     first = list(accumulate(lengths, initial=0))  # each set's first row in the batch
     order = sorted(range(len(lengths)), key=lambda j: lengths[j])
     fused = []
     for n, group in groupby(order, key=lambda j: lengths[j]):
         bucket = list(group)
-        x = T.take_rows(batch.data, [first[j] + i for i in range(n) for j in bucket])
-        y, _ = _fuse(T.reshape(x, [n, len(bucket) * width]), params, len(bucket))
+        rows = [first[j] + i for i in range(n) for j in bucket]
+        y, s = _fuse(T.reshape(T.take_rows(batch.data, rows), [n, len(bucket) * width]), kind, w)
+        if s is not None:
+            scores[rows] = s.data.reshape(-1, width)
         fused.append(T.reshape(y, [len(bucket), width]))
-    return T.take_rows(T.stack_rows(fused), np.argsort(order)), None
+    return T.take_rows(T.stack_rows(fused), np.argsort(order)), scores

@@ -3,9 +3,9 @@
 For every (aggregator, set size) cell the report holds the median of R
 timed repetitions taken after a warmup: medians tolerate scheduler noise
 at the millisecond scales involved. Aggregation-only timings isolate the
-fusion operator on a prebuilt feature set; full-forward timings run the
-entire predict path (encode N views, fuse, decode). Inputs are seeded per
-cell, so only the wall-clock fields vary between runs.
+fusion operator on a prebuilt one-set ``SetBatch``; full-forward timings
+run the entire predict path (encode N views, fuse, decode). Inputs are
+seeded per cell, so only the wall-clock fields vary between runs.
 
 The repetitions are taken round-robin: each of the R rounds times every
 cell once, in an order shuffled per round by a seeded generator. A host
@@ -24,10 +24,9 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .aggregators import AGGREGATOR_KINDS, FeatureSet, aggregate, aggregator_init
+from .aggregators import AGGREGATOR_KINDS, SetBatch, aggregate, aggregator_init
 from .errors import ContractError
 from .model import ModelConfig, model_init, predict
-from .tensor import Tensor
 
 __all__ = ["BenchConfig", "BenchReport", "run_bench"]
 
@@ -104,10 +103,10 @@ def run_bench(cfg: BenchConfig, model_cfg: ModelConfig | None = None) -> BenchRe
         pipe = model_init(pipe_cfg)
         for n in cfg.n_grid:
             rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, n]))
-            fset = FeatureSet(Tensor(rng.standard_normal((n, model_cfg.latent_dim))))
+            batch = SetBatch(rng.standard_normal((n, model_cfg.latent_dim)))
             views = list(rng.uniform(0, 1, size=(n, pipe_cfg.image_side, pipe_cfg.image_side)))
             cells.append((kind, n))
-            fns += [lambda fset=fset, p=agg_params: aggregate(fset, p),
+            fns += [lambda batch=batch, p=agg_params: aggregate(batch, p),
                     lambda views=views, p=pipe: predict(views, p)]
     for _ in range(cfg.warmups):
         for fn in fns:

@@ -14,14 +14,12 @@ never changes after construction.
 
 ``predict`` runs ``encode_batch`` on one view row at a time (each encode is
 then bit-identical wherever the view sits in the input order), fuses the
-latents in one ``aggregate`` call and decodes the fused row with one
-``decode_batch`` call. It is pure over an immutable bundle, so reordering
-input views cannot change the output of any permutation-invariant
-aggregator, bit for bit. Training aggregates a whole step's sets in one
-packed call instead (see ``training``), and so does evaluation, one call
-per view count (see ``metrics``); for one set the GRU's packed routine has
-the bits of the plain recurrence, so ``predict``'s output does not depend
-on that batching.
+latents as a one-set ``SetBatch`` in one ``aggregate`` call and decodes the
+fused [1, D] row with one ``decode_batch`` call. It is pure over an
+immutable bundle, so reordering input views cannot change the output of
+any permutation-invariant aggregator, bit for bit. Training aggregates a
+whole step's sets in one such call (see ``training``), and so does
+evaluation, one call per view count (see ``metrics``).
 """
 
 from __future__ import annotations
@@ -35,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .aggregators import (AGGREGATOR_KINDS, AggregatorParams, AttentionMap, FeatureSet,
-                          aggregate, aggregator_init)
+from .aggregators import (AGGREGATOR_KINDS, AggregatorParams, AttentionMap, SetBatch, aggregate,
+                          aggregator_init)
 from .errors import ContractError, FormatError, ShapeError
 from .tensor import Tensor
 
@@ -163,9 +161,15 @@ def model_init(cfg: ModelConfig) -> ParamBundle:
     return ParamBundle(base=base, att=att, cfg=cfg)
 
 
+def _config(params: ParamBundle) -> ModelConfig:
+    if params.cfg is None:
+        raise ContractError("the bundle has no model config; pass cfg to load_checkpoint")
+    return params.cfg
+
+
 def _agg_params(params: ParamBundle):
-    kind = params.cfg.aggregator_kind
-    return AggregatorParams(kind, {k.removeprefix("att_"): t for k, t in params.att.items()})
+    return AggregatorParams(_config(params).aggregator_kind,
+                            {k.removeprefix("att_"): t for k, t in params.att.items()})
 
 
 def encode_batch(images: Tensor, params: ParamBundle) -> Tensor:
@@ -184,9 +188,7 @@ def _view_rows(views, params: ParamBundle) -> list[Tensor]:
     """The views of one prediction as [1, image_side^2] rows, after the
     checks every prediction path makes: the bundle has a model config, there
     are 1..max_views views, and each has image_side^2 pixels."""
-    cfg = params.cfg
-    if cfg is None:
-        raise ContractError("the bundle has no model config; pass cfg to load_checkpoint")
+    cfg = _config(params)
     views = list(views)
     if not views:
         raise ContractError("predict needs at least one view")
@@ -207,8 +209,9 @@ def predict(views, params: ParamBundle) -> tuple[VoxelGrid, AttentionMap | None]
     """
     cfg = params.cfg
     latents = [encode_batch(row, params) for row in _view_rows(views, params)]
-    fused, attn = aggregate(FeatureSet(T.stack_rows(latents)), _agg_params(params))
-    probs = decode_batch(T.reshape(fused, [1, cfg.latent_dim]), params)
+    fused, scores = aggregate(SetBatch(T.stack_rows(latents)), _agg_params(params))
+    probs = decode_batch(fused, params)
+    attn = None if scores is None else AttentionMap(Tensor(scores))
     return VoxelGrid(T.reshape(probs, [cfg.voxel_count]), cfg.grid_side), attn
 
 

@@ -79,12 +79,12 @@ def _check_permutation_invariance() -> CheckResult:
             pe = ag.aggregator_init("attsets_elem", d)
             pe.weights["w"] = Tensor(rng.standard_normal((d, 1)) * 0.3, requires_grad=True)
             params = [pf, pe] + [ag.AggregatorParams(kind) for kind in ag.POOL_KINDS]
-            outs = [ag.aggregate(ag.FeatureSet(Tensor(x)), p)[0].data for p in params]
+            outs = [ag.aggregate(ag.SetBatch(Tensor(x)), p)[0].data for p in params]
             for _ in range(10):
                 xp = x[rng.permutation(n)]
                 for p, out in zip(params, outs):
                     worst = max(worst, float(np.abs(
-                        ag.aggregate(ag.FeatureSet(Tensor(xp)), p)[0].data - out).max()))
+                        ag.aggregate(ag.SetBatch(Tensor(xp)), p)[0].data - out).max()))
     return CheckResult("permutation-invariance", worst <= 1e-9,
                        f"max deviation over permutations = {worst:.2e}")
 
@@ -94,8 +94,8 @@ def _check_gru_variance() -> CheckResult:
     for trial in range(20):
         params = ag.aggregator_init("gru", 8, seed=trial)
         x = rng.standard_normal((6, 8)) * 2
-        fwd = ag.aggregate(ag.FeatureSet(Tensor(x)), params)[0].data
-        rev = ag.aggregate(ag.FeatureSet(Tensor(x[::-1])), params)[0].data
+        fwd = ag.aggregate(ag.SetBatch(Tensor(x)), params)[0].data
+        rev = ag.aggregate(ag.SetBatch(Tensor(x[::-1])), params)[0].data
         if np.abs(fwd - rev).max() > 1e-3:
             return CheckResult("gru-permutation-variance", True,
                                f"order flip moved output by {np.abs(fwd - rev).max():.2e}")
@@ -112,19 +112,18 @@ def _check_single_element_identity() -> CheckResult:
             params = ag.aggregator_init(kind, d, seed=0)
             for w in params.weights.values():
                 w.data[:] = rng.standard_normal(w.shape)
-            y, attn = ag.aggregate(ag.FeatureSet(Tensor(x)), params)
-            if not np.array_equal(y.data, x[0]):
+            y, scores = ag.aggregate(ag.SetBatch(Tensor(x)), params)
+            if not np.array_equal(y.data, x):
                 return CheckResult("single-element-identity", False, kind)
-            if attn is not None and not np.array_equal(attn.scores.data.reshape(-1),
-                                                       np.ones(d)):
+            if scores is not None and not np.array_equal(scores, np.ones((1, d))):
                 return CheckResult("single-element-identity", False, f"{kind} scores != 1")
     return CheckResult("single-element-identity", True, "all aggregators return the element")
 
 
 def _fc_loss(x, w, rvec):
     params = ag.AggregatorParams("attsets_fc", {"W": w})
-    y, _ = ag.aggregate(ag.FeatureSet(Tensor(x)), params)
-    return T.reduce_sum(T.ew_binary("mul", y, Tensor(rvec)), 0)
+    y, _ = ag.aggregate(ag.SetBatch(Tensor(x)), params)
+    return T.reduce_sum(T.ew_binary("mul", T.reshape(y, [y.size]), Tensor(rvec)), 0)
 
 
 def _check_zero_gradient_single() -> CheckResult:
@@ -184,9 +183,9 @@ def _check_zero_init_equivalence() -> CheckResult:
     for _ in range(10):
         n, d = int(rng.integers(2, 12)), int(rng.integers(1, 12))
         x = rng.standard_normal((n, d))
-        mean = ag.aggregate(ag.FeatureSet(Tensor(x)), ag.AggregatorParams("mean"))[0].data
+        mean = ag.aggregate(ag.SetBatch(Tensor(x)), ag.AggregatorParams("mean"))[0].data
         for kind in ("attsets_fc", "attsets_elem"):
-            y, _ = ag.aggregate(ag.FeatureSet(Tensor(x)), ag.aggregator_init(kind, d))
+            y, _ = ag.aggregate(ag.SetBatch(Tensor(x)), ag.aggregator_init(kind, d))
             if np.abs(y.data - mean).max() > 1e-12:
                 return CheckResult("zero-init-mean-equivalence", False, kind)
     return CheckResult("zero-init-mean-equivalence", True,

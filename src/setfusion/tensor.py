@@ -11,9 +11,10 @@ rest of the package leans on:
   evaluation paths carry no autodiff overhead.
 * Every checked op is built by one constructor, ``_op``: it wraps the
   result, checks that it is finite and records it on the active tape.
-* Backward computes only the products that reach a ``requires_grad`` leaf:
-  each closure is told which of its inputs need a gradient and skips the
-  others, so a frozen weight, an input image or a constant costs nothing.
+* ``Tape.backward``, the one reverse pass, computes only the products
+  that reach a ``requires_grad`` leaf: each closure is told which of its
+  inputs need a gradient and skips the others, so a frozen weight, an
+  input image or a constant costs nothing.
   A node's first gradient piece is kept without a copy when its closure
   allocated it (a weight product, say); a piece that is the upstream
   gradient or a view of it is copied, so no two nodes' gradients alias.
@@ -74,7 +75,6 @@ __all__ = [
     "stack_rows",
     "gru_cell",
     "bce_loss",
-    "backward",
     "finite_diff_grad",
 ]
 
@@ -144,7 +144,7 @@ class Tape:
 
     Entries are appended in execution order, so inputs always precede the
     op that consumes them; the reverse sweep visits each entry exactly once.
-    A tape can be consumed by ``backward`` at most once.
+    A tape can be consumed by its ``backward`` at most once.
 
     A tensor becomes a node only when it leads to a ``requires_grad`` leaf:
     such a leaf itself, or the output of an op with at least one such input.
@@ -217,14 +217,6 @@ class Tape:
         for t, g in zip(self.tensors, grads):
             if t.requires_grad and g is not None:
                 t.grad = g.reshape(-1)
-
-
-def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every recorded tensor that requires one, from
-    the active tape."""
-    if Tape._active is None:
-        raise ContractError("backward needs an active tape")
-    Tape._active.backward(loss)
 
 
 def _record(out: Tensor, inputs: Sequence[Tensor], backward_fn: Callable) -> Tensor:

@@ -90,25 +90,23 @@ def test_criterion_01_permutation_invariance():
         pe.weights["w"] = Tensor(rng.standard_normal((d, 1)) * 0.3, requires_grad=True)
         pc = ag.aggregator_init("attsets_conv", d)
         pc.weights["W"] = Tensor(rng.standard_normal((d, d)) * 0.3, requires_grad=True)
-        spatial = ag.FeatureSet(Tensor(x.reshape(n, 1, d)))
         base = {
-            "fc": ag.aggregate(ag.FeatureSet(Tensor(x)), pf)[0].data,
-            "elem": ag.aggregate(ag.FeatureSet(Tensor(x)), pe)[0].data,
-            "conv": ag.aggregate(spatial, pc)[0].data,
-            "max": ag.aggregate(ag.FeatureSet(Tensor(x)), ag.AggregatorParams("max"))[0].data,
-            "mean": ag.aggregate(ag.FeatureSet(Tensor(x)), ag.AggregatorParams("mean"))[0].data,
-            "sum": ag.aggregate(ag.FeatureSet(Tensor(x)), ag.AggregatorParams("sum"))[0].data,
+            "fc": ag.aggregate(ag.SetBatch(Tensor(x)), pf)[0].data,
+            "elem": ag.aggregate(ag.SetBatch(Tensor(x)), pe)[0].data,
+            "conv": ag.aggregate(ag.SetBatch(Tensor(x)), pc)[0].data,
+            "max": ag.aggregate(ag.SetBatch(Tensor(x)), ag.AggregatorParams("max"))[0].data,
+            "mean": ag.aggregate(ag.SetBatch(Tensor(x)), ag.AggregatorParams("mean"))[0].data,
+            "sum": ag.aggregate(ag.SetBatch(Tensor(x)), ag.AggregatorParams("sum"))[0].data,
         }
         for _ in range(10):
             xp = x[rng.permutation(n)]
-            sp = ag.FeatureSet(Tensor(xp.reshape(n, 1, d)))
             outs = {
-                "fc": ag.aggregate(ag.FeatureSet(Tensor(xp)), pf)[0].data,
-                "elem": ag.aggregate(ag.FeatureSet(Tensor(xp)), pe)[0].data,
-                "conv": ag.aggregate(sp, pc)[0].data,
-                "max": ag.aggregate(ag.FeatureSet(Tensor(xp)), ag.AggregatorParams("max"))[0].data,
-                "mean": ag.aggregate(ag.FeatureSet(Tensor(xp)), ag.AggregatorParams("mean"))[0].data,
-                "sum": ag.aggregate(ag.FeatureSet(Tensor(xp)), ag.AggregatorParams("sum"))[0].data,
+                "fc": ag.aggregate(ag.SetBatch(Tensor(xp)), pf)[0].data,
+                "elem": ag.aggregate(ag.SetBatch(Tensor(xp)), pe)[0].data,
+                "conv": ag.aggregate(ag.SetBatch(Tensor(xp)), pc)[0].data,
+                "max": ag.aggregate(ag.SetBatch(Tensor(xp)), ag.AggregatorParams("max"))[0].data,
+                "mean": ag.aggregate(ag.SetBatch(Tensor(xp)), ag.AggregatorParams("mean"))[0].data,
+                "sum": ag.aggregate(ag.SetBatch(Tensor(xp)), ag.AggregatorParams("sum"))[0].data,
             }
             for key in base:
                 worst = max(worst, float(np.abs(outs[key] - base[key]).max()))
@@ -123,9 +121,8 @@ def test_criterion_02_gru_permutation_variance():
     for trial in range(20):
         params = ag.aggregator_init("gru", 8, seed=trial)
         x = rng.standard_normal((int(rng.integers(3, 12)), 8)) * 2.0
-        fset = ag.FeatureSet(Tensor(x))
-        fwd = ag.aggregate(fset, params)[0].data
-        perm = ag.aggregate(ag.FeatureSet(Tensor(x[::-1])), params)[0].data
+        fwd = ag.aggregate(ag.SetBatch(Tensor(x)), params)[0].data
+        perm = ag.aggregate(ag.SetBatch(Tensor(x[::-1])), params)[0].data
         best = max(best, float(np.abs(fwd - perm).max()))
     report(2, best > 1e-3, f"largest permutation-pair difference {best:.2e}")
 
@@ -140,16 +137,16 @@ def test_criterion_03_single_element_identity():
             params = ag.aggregator_init(kind, d)
             for w in params.weights.values():
                 w.data[:] = rng.standard_normal(w.shape)
-            y, attn = ag.aggregate(ag.FeatureSet(Tensor(x)), params)
-            ok &= np.array_equal(y.data, x[0])
-            ok &= np.array_equal(attn.scores.data.reshape(-1), np.ones(d))
+            y, scores = ag.aggregate(ag.SetBatch(Tensor(x)), params)
+            ok &= np.array_equal(y.data, x)
+            ok &= np.array_equal(scores, np.ones((1, d)))
     report(3, ok, "single element returned bit-exactly with scores exactly 1.0")
 
 
 def _attention_loss(x, w, rvec, kind):
     params = ag.AggregatorParams(kind, {"W" if kind != "attsets_elem" else "w": w})
-    y, _ = ag.aggregate(ag.FeatureSet(Tensor(x)), params)
-    return T.reduce_sum(T.ew_binary("mul", y, Tensor(rvec)), 0)
+    y, _ = ag.aggregate(ag.SetBatch(Tensor(x)), params)
+    return T.reduce_sum(T.ew_binary("mul", T.reshape(y, [y.size]), Tensor(rvec)), 0)
 
 
 def test_criterion_04_zero_gradient_single_element():

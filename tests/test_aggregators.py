@@ -9,24 +9,17 @@ from setfusion.errors import ContractError, ShapeError
 from setfusion.tensor import Tensor
 
 
-def fset(arr):
-    return ag.FeatureSet(Tensor(np.asarray(arr, dtype=np.float64)))
+def one(arr):
+    """``arr``'s rows as one set."""
+    return ag.SetBatch(Tensor(np.asarray(arr, dtype=np.float64)))
 
 
 def pooled(kind, arr):
-    return ag.aggregate(fset(arr), ag.AggregatorParams(kind))[0].data
+    return ag.aggregate(one(arr), ag.AggregatorParams(kind))[0].data[0]
 
 
-# ------------------------------------------------------------ feature sets
-
-def test_featureset_rejects_empty():
-    with pytest.raises((ContractError, ShapeError)):
-        ag.FeatureSet(Tensor(np.zeros((0, 3))))
-
-
-def test_featureset_width():
-    assert fset(np.zeros((2, 5))).width == 5
-    assert ag.FeatureSet(Tensor(np.zeros((2, 4, 6)))).width == 6
+def validate(scores):
+    ag.AttentionMap(Tensor(scores)).validate()
 
 
 # ------------------------------------------------------------- attsets_fc
@@ -36,31 +29,30 @@ def test_fc_single_element_identity():
     for seed in range(3):
         params = ag.aggregator_init("attsets_fc", 2)
         params.weights["W"] = Tensor(np.random.default_rng(seed).standard_normal((2, 2)), requires_grad=True)
-        y, attn = ag.aggregate(fset(x), params)
-        assert np.array_equal(y.data, [5.0, -7.0])
-        assert np.array_equal(attn.scores.data, [[1.0, 1.0]])
+        y, scores = ag.aggregate(one(x), params)
+        assert np.array_equal(y.data, [[5.0, -7.0]])
+        assert np.array_equal(scores, [[1.0, 1.0]])
 
 
 def test_fc_zero_weights_is_mean():
     x = np.array([[1.0, 2.0], [3.0, 4.0]])
-    y, attn = ag.aggregate(fset(x), ag.aggregator_init("attsets_fc", 2))
-    assert np.array_equal(y.data, [2.0, 3.0])
-    attn.validate()
+    y, scores = ag.aggregate(one(x), ag.aggregator_init("attsets_fc", 2))
+    assert np.array_equal(y.data, [[2.0, 3.0]])
+    validate(scores)
 
 
 def test_fc_hand_case_d1():
     params = ag.aggregator_init("attsets_fc", 1)
     params.weights["W"] = Tensor([[math.log(2.0)]], requires_grad=True)
-    y, attn = ag.aggregate(fset([[1.0], [2.0]]), params)
-    s = attn.scores.data
+    y, s = ag.aggregate(one([[1.0], [2.0]]), params)
     assert abs(s[0, 0] - 1.0 / 3.0) < 1e-15
     assert abs(s[1, 0] - 2.0 / 3.0) < 1e-15
-    assert abs(y.data[0] - 5.0 / 3.0) < 1e-15
+    assert abs(y.data[0, 0] - 5.0 / 3.0) < 1e-15
 
 
 def test_fc_width_mismatch():
     with pytest.raises(ShapeError):
-        ag.aggregate(fset(np.zeros((2, 3))), ag.aggregator_init("attsets_fc", 2))
+        ag.aggregate(one(np.zeros((2, 3))), ag.aggregator_init("attsets_fc", 2))
 
 
 # ----------------------------------------------------------- attsets_conv
@@ -73,10 +65,10 @@ def test_conv_s1_equals_fc_bit_exact():
     pf.weights["W"] = Tensor(w, requires_grad=True)
     pc = ag.aggregator_init("attsets_conv", 8)
     pc.weights["W"] = Tensor(w, requires_grad=True)
-    yf, af = ag.aggregate(fset(x), pf)
-    yc, ac = ag.aggregate(ag.FeatureSet(Tensor(x.reshape(5, 1, 8))), pc)
-    assert np.array_equal(yc.data.reshape(-1), yf.data)
-    assert np.array_equal(ac.scores.data.reshape(5, 8), af.scores.data)
+    yf, af = ag.aggregate(one(x), pf)
+    yc, ac = ag.aggregate(one(x), pc)
+    assert np.array_equal(yc.data, yf.data)
+    assert np.array_equal(ac, af)
 
 
 def test_conv_single_element_identity():
@@ -84,54 +76,75 @@ def test_conv_single_element_identity():
     x = rng.standard_normal((1, 3, 4))
     params = ag.aggregator_init("attsets_conv", 4)
     params.weights["W"] = Tensor(rng.standard_normal((4, 4)), requires_grad=True)
-    y, attn = ag.aggregate(ag.FeatureSet(Tensor(x)), params)
-    assert np.array_equal(y.data, x[0])
-    assert np.array_equal(attn.scores.data, np.ones((1, 3, 4)))
+    y, scores = ag.aggregate(one(x.reshape(1, 12)), params)
+    assert np.array_equal(y.data, x.reshape(1, 12))
+    assert np.array_equal(scores, np.ones((1, 12)))
 
 
 def test_conv_zero_weights_is_per_location_mean():
     rng = np.random.default_rng(23)
     x = rng.standard_normal((2, 3, 4))
-    y, attn = ag.aggregate(ag.FeatureSet(Tensor(x)), ag.aggregator_init("attsets_conv", 4))
+    y, scores = ag.aggregate(one(x.reshape(2, 12)), ag.aggregator_init("attsets_conv", 4))
     for loc in range(3):
-        assert np.array_equal(y.data[loc], pooled("mean", x[:, loc, :]))
-    attn.validate()
+        assert np.array_equal(y.data.reshape(3, 4)[loc], pooled("mean", x[:, loc, :]))
+    validate(scores)
+
+
+def _conv_is_fc_per_location(x, w):
+    """``attsets_conv`` with C x C map ``w`` on the [N, S, C] set ``x``,
+    stored as [N, S*C] rows, against ``attsets_fc`` on each position's
+    [N, C] slice: features and scores equal bit for bit."""
+    n, positions, ch = x.shape
+    pc = ag.aggregator_init("attsets_conv", ch)
+    pc.weights["W"] = Tensor(w, requires_grad=True)
+    pf = ag.aggregator_init("attsets_fc", ch)
+    pf.weights["W"] = Tensor(w, requires_grad=True)
+    y, scores = ag.aggregate(one(x.reshape(n, positions * ch)), pc)
+    assert y.shape == (1, positions * ch)
+    for loc in range(positions):
+        yf, af = ag.aggregate(one(x[:, loc, :]), pf)
+        assert np.array_equal(y.data.reshape(positions, ch)[loc], yf.data[0])
+        assert np.array_equal(scores.reshape(n, positions, ch)[:, loc, :], af)
+    validate(scores)
 
 
 def test_conv_c1_is_fc_per_location():
     # C = 1: the 1 x 1 map scores every location, nothing to broadcast
     rng = np.random.default_rng(24)
-    x = rng.standard_normal((4, 3, 1))
-    w = rng.standard_normal((1, 1))
-    pc = ag.aggregator_init("attsets_conv", 1)
-    pc.weights["W"] = Tensor(w, requires_grad=True)
-    pf = ag.aggregator_init("attsets_fc", 1)
-    pf.weights["W"] = Tensor(w, requires_grad=True)
-    y, attn = ag.aggregate(ag.FeatureSet(Tensor(x)), pc)
-    assert y.shape == (3, 1)
-    for loc in range(3):
-        yf, af = ag.aggregate(fset(x[:, loc, :]), pf)
-        assert np.array_equal(y.data[loc], yf.data)
-        assert np.array_equal(attn.scores.data[:, loc, :], af.scores.data)
-    attn.validate()
+    _conv_is_fc_per_location(rng.standard_normal((4, 3, 1)), rng.standard_normal((1, 1)))
+
+
+def test_conv_each_location_is_fc_on_its_slice():
+    rng = np.random.default_rng(25)
+    _conv_is_fc_per_location(rng.standard_normal((5, 3, 4)), rng.standard_normal((4, 4)))
+
+
+def test_conv_width_must_be_a_multiple_of_c():
+    params = ag.aggregator_init("attsets_conv", 4)
+    with pytest.raises(ShapeError):
+        ag.aggregate(one(np.zeros((2, 10))), params)
+    with pytest.raises(ShapeError):
+        ag.aggregate(ag.SetBatch(Tensor(np.zeros((3, 6))), [1, 2]), params)
+    y, _ = ag.aggregate(one(np.ones((2, 12))), params)  # S = 3
+    assert np.array_equal(y.data, np.ones((1, 12)))
 
 
 # ----------------------------------------------------------- attsets_elem
 
 def test_elem_zero_weights_is_mean():
     x = np.array([[1.0, 2.0], [3.0, 4.0]])
-    y, attn = ag.aggregate(fset(x), ag.aggregator_init("attsets_elem", 2))
-    assert np.array_equal(y.data, [2.0, 3.0])
-    attn.validate()
+    y, scores = ag.aggregate(one(x), ag.aggregator_init("attsets_elem", 2))
+    assert np.array_equal(y.data, [[2.0, 3.0]])
+    validate(scores)
 
 
 def test_elem_single_element_identity():
     params = ag.aggregator_init("attsets_elem", 3)
     params.weights["w"] = Tensor(np.random.default_rng(1).standard_normal((3, 1)), requires_grad=True)
     x = np.array([[0.5, -1.5, 9.0]])
-    y, attn = ag.aggregate(fset(x), params)
-    assert np.array_equal(y.data, x[0])
-    assert np.array_equal(attn.scores.data, np.ones((1, 3)))
+    y, scores = ag.aggregate(one(x), params)
+    assert np.array_equal(y.data, x)
+    assert np.array_equal(scores, np.ones((1, 3)))
 
 
 def test_elem_d1_matches_fc():
@@ -142,8 +155,8 @@ def test_elem_d1_matches_fc():
     pe.weights["w"] = Tensor(w, requires_grad=True)
     pf = ag.aggregator_init("attsets_fc", 1)
     pf.weights["W"] = Tensor(w, requires_grad=True)
-    ye, _ = ag.aggregate(fset(x), pe)
-    yf, _ = ag.aggregate(fset(x), pf)
+    ye, _ = ag.aggregate(one(x), pe)
+    yf, _ = ag.aggregate(one(x), pf)
     assert np.allclose(ye.data, yf.data, rtol=0, atol=1e-15)
 
 
@@ -162,8 +175,8 @@ def test_pool_values():
 def test_gru_single_step_deterministic():
     params = ag.aggregator_init("gru", 4, seed=9)
     x = np.random.default_rng(2).standard_normal((1, 4))
-    a = ag.aggregate(fset(x), params)[0].data
-    b = ag.aggregate(fset(x), params)[0].data
+    a = ag.aggregate(one(x), params)[0].data
+    b = ag.aggregate(one(x), params)[0].data
     assert np.array_equal(a, b)
 
 
@@ -173,8 +186,8 @@ def test_gru_order_sensitivity():
     for trial in range(20):
         params = ag.aggregator_init("gru", 8, seed=trial)
         x = rng.standard_normal((6, 8)) * 2.0
-        fwd = ag.aggregate(fset(x), params)[0].data
-        rev = ag.aggregate(fset(x[::-1]), params)[0].data
+        fwd = ag.aggregate(one(x), params)[0].data
+        rev = ag.aggregate(one(x[::-1]), params)[0].data
         if np.abs(fwd - rev).max() > 1e-3:
             hits += 1
     assert hits >= 1
@@ -184,33 +197,36 @@ def test_gru_zero_params_gives_zeros():
     params = ag.aggregator_init("gru", 3, seed=0)
     for name, t in params.weights.items():
         params.weights[name] = Tensor(np.zeros_like(t.data), requires_grad=True)
-    y, _ = ag.aggregate(fset(np.random.default_rng(3).standard_normal((5, 3))), params)
-    assert np.array_equal(y.data, np.zeros(3))
+    y, _ = ag.aggregate(one(np.random.default_rng(3).standard_normal((5, 3))), params)
+    assert np.array_equal(y.data, np.zeros((1, 3)))
 
 
 def test_gru_width_mismatch():
     with pytest.raises(ShapeError):
-        ag.aggregate(fset(np.zeros((2, 5))), ag.aggregator_init("gru", 4))
+        ag.aggregate(one(np.zeros((2, 5))), ag.aggregator_init("gru", 4))
 
 
 def _packed_and_alone(params, x, lengths, rvec):
-    """Fused rows and gradients of one packed aggregate over the sets stored
-    back to back in ``x``, and the same from aggregating each set alone."""
+    """Fused rows, scores and gradients of one packed aggregate over the sets
+    stored back to back in ``x``, and the same from aggregating each set
+    alone (scores None for poolings and the GRU)."""
     out = []
     for packed in (True, False):
         rows = Tensor(x, requires_grad=True)
         with T.Tape() as tape:
             if packed:
-                fused, _ = ag.aggregate(ag.SetBatch(rows, lengths), params)
+                fused, scores = ag.aggregate(ag.SetBatch(rows, lengths), params)
             else:
                 stops = np.cumsum(lengths)
-                fused = T.stack_rows([ag.aggregate(ag.FeatureSet(T.take_rows(rows, range(stop - n, stop))),
-                                                   params)[0] for n, stop in zip(lengths, stops)])
+                alone = [ag.aggregate(ag.SetBatch(T.take_rows(rows, range(stop - n, stop))), params)
+                         for n, stop in zip(lengths, stops)]
+                fused = T.stack_rows([y for y, _ in alone])
+                scores = None if alone[0][1] is None else np.vstack([s for _, s in alone])
             tape.backward(T.reduce_sum(T.reduce_sum(T.ew_binary("mul", fused, Tensor(rvec)), 1), 0))
         grads = {"x": rows.grad, **{k: w.grad for k, w in params.weights.items()}}
         for w in params.weights.values():
             w.grad = None
-        out.append((fused.data, grads))
+        out.append((fused.data, scores, grads))
     return out
 
 
@@ -232,12 +248,18 @@ def test_packed_batch_matches_each_set_alone(kind):
     lengths = [1, 3, 3, 8, 2, 1]
     params = _kind_params(kind, 6, rng, seed=3)
     x, rvec = rng.standard_normal((sum(lengths), 6)), rng.standard_normal((6, 6))
-    (fused, grads), (want, want_grads) = _packed_and_alone(params, x, lengths, rvec)
+    (fused, scores, grads), (want, want_scores, want_grads) = _packed_and_alone(
+        params, x, lengths, rvec)
     assert fused.shape == want.shape == (6, 6)
     if kind == "gru":
         assert np.abs(fused - want).max() <= 1e-12
     else:  # every reduction stays per slot, so each set's bits are its own
         assert fused.tobytes() == want.tobytes()
+    if kind in ag.ATTENTION_KINDS:  # and so are its scores, in row order
+        assert scores.shape == want_scores.shape == (sum(lengths), 6)
+        assert scores.tobytes() == want_scores.tobytes()
+    else:
+        assert scores is None and want_scores is None
     assert grads.keys() == want_grads.keys()
     for name in grads:
         assert np.abs(grads[name] - want_grads[name]).max() <= 1e-12, name
@@ -248,9 +270,9 @@ def test_packed_batch_of_one_set_is_bit_identical(kind):
     rng = np.random.default_rng(42)
     params = _kind_params(kind, 5, rng, seed=4)
     x, rvec = rng.standard_normal((7, 5)), rng.standard_normal((1, 5))
-    (fused, grads), (want, want_grads) = _packed_and_alone(params, x, [7], rvec)
+    (fused, _, grads), (want, _, want_grads) = _packed_and_alone(params, x, [7], rvec)
     assert fused.tobytes() == want.tobytes()
-    assert fused[0].tobytes() == ag.aggregate(fset(x), params)[0].data.tobytes()
+    assert fused.tobytes() == ag.aggregate(one(x), params)[0].data.tobytes()
     for name in grads:
         assert grads[name].tobytes() == want_grads[name].tobytes(), name
 
@@ -260,6 +282,8 @@ def test_set_batch_rejects_bad_lengths():
     for lengths in ([], [2, 0, 2], [3, 2]):
         with pytest.raises((ContractError, ShapeError)):
             ag.SetBatch(rows, lengths)
+    with pytest.raises((ContractError, ShapeError)):  # one set of no rows
+        ag.SetBatch(Tensor(np.zeros((0, 3))))
     with pytest.raises(ShapeError):
         ag.SetBatch(Tensor(np.zeros((4, 1, 3))), [4])
 
@@ -278,11 +302,11 @@ def test_init_zero_attention_equals_mean_bit_exact():
     rng = np.random.default_rng(50)
     for n in (2, 3, 5, 7):
         x = rng.standard_normal((n, 6))
-        yf, _ = ag.aggregate(fset(x), ag.aggregator_init("attsets_fc", 6))
-        ye, _ = ag.aggregate(fset(x), ag.aggregator_init("attsets_elem", 6))
+        yf, _ = ag.aggregate(one(x), ag.aggregator_init("attsets_fc", 6))
+        ye, _ = ag.aggregate(one(x), ag.aggregator_init("attsets_elem", 6))
         m = pooled("mean", x)
-        assert np.array_equal(yf.data, m)
-        assert np.array_equal(ye.data, m)
+        assert np.array_equal(yf.data[0], m)
+        assert np.array_equal(ye.data[0], m)
 
 
 def test_init_gru_seed_deterministic():
@@ -315,8 +339,8 @@ def test_permutation_invariance_bit_exact():
             pe = ag.aggregator_init("attsets_elem", d)
             pe.weights["w"] = Tensor(rng.standard_normal((d, 1)) * 0.3, requires_grad=True)
             base = {
-                "fc": ag.aggregate(fset(x), pf)[0].data,
-                "elem": ag.aggregate(fset(x), pe)[0].data,
+                "fc": ag.aggregate(one(x), pf)[0].data,
+                "elem": ag.aggregate(one(x), pe)[0].data,
                 "max": pooled("max", x),
                 "mean": pooled("mean", x),
                 "sum": pooled("sum", x),
@@ -324,21 +348,21 @@ def test_permutation_invariance_bit_exact():
             for _ in range(10):
                 perm = rng.permutation(n)
                 xp = x[perm]
-                assert np.array_equal(ag.aggregate(fset(xp), pf)[0].data, base["fc"])
-                assert np.array_equal(ag.aggregate(fset(xp), pe)[0].data, base["elem"])
+                assert np.array_equal(ag.aggregate(one(xp), pf)[0].data, base["fc"])
+                assert np.array_equal(ag.aggregate(one(xp), pe)[0].data, base["elem"])
                 for kind in ("max", "mean", "sum"):
                     assert np.array_equal(pooled(kind, xp), base[kind])
 
 
 def test_conv_permutation_invariance_bit_exact():
     rng = np.random.default_rng(61)
-    x = rng.standard_normal((7, 4, 8))
+    x = rng.standard_normal((7, 4, 8)).reshape(7, 32)  # S = 4 positions of C = 8
     params = ag.aggregator_init("attsets_conv", 8)
     params.weights["W"] = Tensor(rng.standard_normal((8, 8)) * 0.3, requires_grad=True)
-    base = ag.aggregate(ag.FeatureSet(Tensor(x)), params)[0].data
+    base = ag.aggregate(one(x), params)[0].data
     for _ in range(10):
         xp = x[rng.permutation(7)]
-        got = ag.aggregate(ag.FeatureSet(Tensor(xp)), params)[0].data
+        got = ag.aggregate(one(xp), params)[0].data
         assert np.array_equal(got, base)
 
 
@@ -349,17 +373,16 @@ def test_attention_map_invariants_on_random_forwards():
         x = rng.standard_normal((n, d)) * 5.0
         pf = ag.aggregator_init("attsets_fc", d)
         pf.weights["W"] = Tensor(rng.standard_normal((d, d)), requires_grad=True)
-        _, attn = ag.aggregate(fset(x), pf)
-        attn.validate()
+        validate(ag.aggregate(one(x), pf)[1])
         pe = ag.aggregator_init("attsets_elem", d)
         pe.weights["w"] = Tensor(rng.standard_normal((d, 1)), requires_grad=True)
-        _, attn = ag.aggregate(fset(x), pe)
-        attn.validate()
+        validate(ag.aggregate(one(x), pe)[1])
 
 
 # -------------------------------------------------------- weight gradients
 
-# kind: (weight name, set shape, weight shape) at N = 4
+# kind: (weight name, set shape, weight shape) at N = 4; the conv set's
+# [N, S, C] features are stored as [N, S*C] rows
 ATT_CASES = {
     "attsets_fc": ("W", (4, 6), (6, 6)),
     "attsets_elem": ("w", (4, 6), (6, 1)),
@@ -369,7 +392,7 @@ ATT_CASES = {
 
 def _att_loss(kind, x, w_tensor, rvec):
     params = ag.AggregatorParams(kind, {ATT_CASES[kind][0]: w_tensor})
-    y, _ = ag.aggregate(ag.FeatureSet(Tensor(x)), params)
+    y, _ = ag.aggregate(one(x.reshape(x.shape[0], -1)), params)
     return T.reduce_sum(T.ew_binary("mul", T.reshape(y, [y.size]), Tensor(rvec)), 0)
 
 
@@ -410,18 +433,20 @@ def test_aggregate_dispatch_shapes():
     x = rng.standard_normal((3, 5))
     for kind in ag.AGGREGATOR_KINDS:
         params = ag.aggregator_init(kind, 5, seed=1)
-        y, attn = ag.aggregate(fset(x), params)
-        assert y.data.shape == (5,)
-        assert (attn is not None) == (kind in ag.ATTENTION_KINDS)
-        rows, attn = ag.aggregate(ag.SetBatch(Tensor(np.vstack([x, x[:2]])), [3, 2]), params)
+        y, scores = ag.aggregate(one(x), params)
+        assert y.data.shape == (1, 5)
+        assert (scores is not None) == (kind in ag.ATTENTION_KINDS)
+        assert scores is None or scores.shape == (3, 5)
+        rows, scores = ag.aggregate(ag.SetBatch(Tensor(np.vstack([x, x[:2]])), [3, 2]), params)
         assert rows.data.shape == (2, 5)
-        assert attn is None
+        assert (scores is not None) == (kind in ag.ATTENTION_KINDS)
+        assert scores is None or scores.shape == (5, 5)
 
 
 def test_aggregate_unknown_kind():
     x = np.zeros((3, 2))
     params = ag.AggregatorParams("median")
     with pytest.raises(ContractError):
-        ag.aggregate(fset(x), params)
+        ag.aggregate(one(x), params)
     with pytest.raises(ContractError):
         ag.aggregate(ag.SetBatch(Tensor(x), [1, 2]), params)

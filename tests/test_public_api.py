@@ -1,4 +1,4 @@
-"""The public surface: every exported name resolves, and the quick demos run."""
+"""The public surface: every exported name resolves, and every demo runs."""
 
 import importlib
 import os
@@ -29,7 +29,7 @@ def test_submodule_exports_resolve(module):
 
 
 @pytest.mark.parametrize("demo", ["01_attention_pooling", "02_gradient_structure",
-                                  "03_synthetic_shapes"])
+                                  "03_synthetic_shapes", "04_two_stage_training", "05_timing"])
 def test_demo_runs(demo):
     src = str(ROOT / "src")
     path = os.environ.get("PYTHONPATH")

@@ -8,7 +8,7 @@ from setfusion import data as D
 from setfusion import model as M
 from setfusion import tensor as T
 from setfusion import training as TR
-from setfusion.aggregators import AGGREGATOR_KINDS, FeatureSet, aggregate
+from setfusion.aggregators import AGGREGATOR_KINDS, SetBatch, aggregate
 from setfusion.errors import ContractError, NumericOverflowError
 from setfusion.model import _agg_params
 from setfusion.tensor import Tensor
@@ -240,8 +240,7 @@ def test_set_loss_encodes_every_view_of_a_step_in_one_batch(tiny_dataset, monkey
     assert rows == [sum(len(views) for views, _ in batch)]
     monkeypatch.undo()
     per_set = [M.encode_batch(Tensor(views), params) for views, _ in batch]
-    d = params.cfg.latent_dim
-    fused = [T.reshape(aggregate(FeatureSet(z), _agg_params(params))[0], [1, d]) for z in per_set]
+    fused = [aggregate(SetBatch(z), _agg_params(params))[0] for z in per_set]
     want = T.bce_loss(M.decode_batch(T.stack_rows(fused), params),
                       Tensor(np.stack([target for _, target in batch])))
     assert abs(loss.item() - want.item()) < 1e-12
@@ -261,7 +260,7 @@ def test_set_loss_matches_the_per_set_loop_bit_for_bit(tiny_dataset, kind):
         fused, start = [], 0
         for views, _ in batch:
             rows = T.take_rows(latents, range(start, start + len(views)))
-            fused.append(aggregate(FeatureSet(rows), agg)[0])
+            fused.append(aggregate(SetBatch(rows), agg)[0])
             start += len(views)
         probs = M.decode_batch(T.stack_rows(fused), params)
         return T.bce_loss(probs, Tensor(np.stack([target for _, target in batch])))
@@ -347,6 +346,18 @@ def test_stage2_on_pooling_is_refused(tiny_dataset):
     with pytest.raises(ContractError, match="finetune"):
         TR.faset_stage2(params, tiny_dataset, tiny_train_cfg())
     assert (params.checksum("base"), params.checksum("att")) == (base0, att0)
+
+
+@pytest.mark.parametrize("trainer", [TR.faset_stage1, TR.faset_stage2, TR.joint_train])
+def test_a_bundle_without_a_config_is_refused(tiny_dataset, tmp_path, trainer):
+    path = tmp_path / "model.sfck"
+    M.save_checkpoint(tiny_model(), path)
+    params = M.load_checkpoint(path)
+    checksum = params.checksum()
+    with pytest.raises(ContractError, match="no model config; pass cfg to load_checkpoint"):
+        trainer(params, tiny_dataset, tiny_train_cfg())
+    assert params.checksum() == checksum
+    assert all(t.requires_grad for _, _, t in params.named("all"))
 
 
 # ----------------------------------------------------------------- schedule
