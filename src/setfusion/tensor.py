@@ -18,6 +18,17 @@ rest of the package leans on:
   A node's first gradient piece is kept without a copy when its closure
   allocated it (a weight product, say); a piece that is the upstream
   gradient or a view of it is copied, so no two nodes' gradients alias.
+* ``side_by_side`` runs a list of independent numpy calls at once: the
+  first on the calling thread, the rest on a pool, built on first use,
+  with one thread per usable CPU that the BLAS leaves free. With the BLAS
+  on one thread (``OPENBLAS_NUM_THREADS=1``, as the benchmark runs) that
+  is every CPU beyond the first. With the BLAS on every CPU, its default,
+  it is none, and the calls run in turn on the caller. A matmul whose two
+  inputs both need a gradient forms ``g @ b.T`` on the caller and
+  ``a.T @ g`` on a worker, into an array the caller allocated; training's
+  Adam runs its per-CPU shares through it. Each product is still one BLAS
+  call and each array is written by one thread, so no bit depends on the
+  CPU count.
 * ``set_sum`` / ``set_max`` reduce over the leading axis in a canonical
   (value-sorted) accumulation order, which makes reductions over an
   unordered set bit-stable under reordering of the rows. ``reduce_sum``
@@ -49,6 +60,9 @@ rest of the package leans on:
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
@@ -76,6 +90,7 @@ __all__ = [
     "gru_cell",
     "bce_loss",
     "finite_diff_grad",
+    "side_by_side",
 ]
 
 
@@ -109,34 +124,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={list(self.shape)}, requires_grad={self.requires_grad})"
-
-    # Arithmetic sugar over the two elementwise ops. Scalars are allowed.
-    def __add__(self, other):
-        return ew_binary("add", self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return ew_binary("add", _as_tensor(other), self)
-
-    def __mul__(self, other):
-        return ew_binary("mul", self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return ew_binary("mul", _as_tensor(other), self)
-
-    def __sub__(self, other):
-        return ew_binary("add", self, ew_binary("mul", _as_tensor(other), _as_tensor(-1.0)))
-
-    def __rsub__(self, other):
-        return ew_binary("add", _as_tensor(other), ew_binary("mul", self, _as_tensor(-1.0)))
-
-    def __neg__(self):
-        return ew_binary("mul", self, _as_tensor(-1.0))
-
-
-def _as_tensor(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=np.float64))
 
 
 class Tape:
@@ -250,6 +237,74 @@ def _op(name: str, value: np.ndarray, inputs: Sequence[Tensor], backward_fn: Cal
     return _record(out, inputs, backward_fn)
 
 
+def _free_cpus() -> int:
+    """Usable CPUs that the BLAS leaves free. The BLAS runs a product on as
+    many threads as the first of its thread-count variables that is set
+    says, and else on every usable CPU; the variables are those it read
+    when numpy loaded it."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
+                "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return cpus - min(int(value), cpus)
+    return 0
+
+
+# side_by_side runs calls on this many pool threads next to the calling
+# thread: one per CPU beyond the first when the BLAS runs on one thread.
+# A BLAS on every CPU already splits each product, and its threads spin
+# between products, so a worker beside them would slow both.
+CPU_WORKERS = _free_cpus()
+_pool: ThreadPoolExecutor | None = None
+_pool_key: tuple[int, int] | None = None  # (process id, workers) the pool was built for
+_pool_lock = threading.Lock()
+
+
+def _worker_pool() -> ThreadPoolExecutor:
+    global _pool, _pool_key
+    with _pool_lock:
+        key = (os.getpid(), CPU_WORKERS)  # a forked child has no pool threads
+        if _pool_key != key:
+            if _pool is not None:
+                _pool.shutdown(wait=False)
+            _pool = ThreadPoolExecutor(max_workers=CPU_WORKERS, thread_name_prefix="setfusion")
+            _pool_key = key
+        return _pool
+
+
+def side_by_side(calls: Sequence[Callable[[], object]]) -> list:
+    """Run independent calls at once and return their results in order.
+
+    The calling thread runs the first call and a pool of ``CPU_WORKERS``
+    threads, built on first use, runs the rest, each under the caller's
+    numpy error state (a thread does not inherit it). With no workers every
+    call runs on the caller, in order. The calls must write to no shared
+    array, must not call ``side_by_side`` themselves and must call numpy
+    directly, never a module attribute that can be patched: the rest of the
+    library runs on one thread. Every call has finished when this returns or
+    raises, and an exception reaches the caller as it was raised, the
+    first call's before a worker's.
+    """
+    if CPU_WORKERS < 1 or len(calls) < 2:
+        return [call() for call in calls]
+    errstate = np.geterr()
+
+    def run(call):
+        with np.errstate(**errstate):
+            return call()
+
+    futures = [_worker_pool().submit(run, call) for call in calls[1:]]
+    try:
+        first = calls[0]()
+    finally:
+        wait(futures)  # a worker may still be writing into the caller's arrays
+    return [first] + [f.result() for f in futures]
+
+
 def _matmul(name: str, product: Callable, a: Tensor, b: Tensor) -> Tensor:
     """``product(a, b)`` of a [M,K] by a [K,P] tensor, as op ``name``."""
     if a.data.ndim != 2 or b.data.ndim != 2:
@@ -258,6 +313,13 @@ def _matmul(name: str, product: Callable, a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"{name} inner extents disagree: {list(a.shape)} x {list(b.shape)}")
 
     def bwd(g, need):
+        if need[0] and need[1]:
+            # The two products side by side. The worker's output is allocated
+            # here: a pool thread allocates from a malloc arena of its own,
+            # which raised peak RSS.
+            gb = np.empty((a.shape[1], g.shape[1]))
+            return tuple(side_by_side((lambda: g @ b.data.T,
+                                       lambda: np.matmul(a.data.T, g, out=gb))))
         return (g @ b.data.T if need[0] else None, a.data.T @ g if need[1] else None)
 
     return _op(name, product(a.data, b.data), (a, b), bwd)

@@ -48,6 +48,15 @@ that equivalence is a tested property, not an accident.
 Every run is a deterministic function of (dataset, config, seed): batches
 are drawn from a counter-based generator keyed by (seed, step), and
 optimizer state is reset at stage boundaries.
+
+``optimizer_step`` checks the whole group before it writes anything. Adam
+then splits the group's ``ADAM_BLOCK``-element blocks into one contiguous
+share per CPU that ``tensor.side_by_side`` uses (the caller's and each
+free one) and runs the shares side by side, each with its own scratch
+buffer. Each block is written by one thread with the same elementwise
+ops, so the bits do not depend on the CPU count. At the default latent
+width, stage 2's attention group is a single block and runs on the
+calling thread alone.
 """
 
 from __future__ import annotations
@@ -55,6 +64,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -84,6 +94,9 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 # Adam walks each tensor in blocks of this many elements, so the block's
 # slices of data, grad, m, v and the scratch buffer (5 x 128 KB) stay in L2.
+# Blocks are the unit of the per-CPU shares: a share is a run of whole
+# blocks with a scratch buffer of its own, so no block is split between
+# threads.
 ADAM_BLOCK = 16384
 
 
@@ -172,32 +185,45 @@ def sample_minibatch(dataset, cfg: TrainConfig, step: int, n_mode: str | None = 
 
 
 class OptimizerState:
-    """Per-tensor Adam moments (flat), keyed by parameter name, and the one
-    block-sized scratch buffer every update reuses."""
+    """Per-tensor Adam moments (flat), keyed by parameter name, and one
+    block-sized scratch buffer per share of an update (see
+    ``optimizer_step``), which every later update reuses."""
 
     def __init__(self):
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.t: dict[str, int] = {}
-        self.scratch = np.empty(ADAM_BLOCK)
+        self.scratch: list[np.ndarray] = []
 
 
 def optimizer_step(params: ParamBundle, group: str, lr: float, state: OptimizerState,
                    optimizer: str = "adam") -> None:
     """Apply one update to the named group; all other tensors stay untouched.
 
-    Adam runs allocation-free over ``ADAM_BLOCK``-element blocks of each
-    tensor's flat views. Every op is elementwise, so the blocking cannot
-    change a bit of the result.
+    The optimizer name and every tensor's gradient are checked before
+    anything is written, so a refused step leaves the tensors and ``state``
+    as they were. Adam runs allocation-free over ``ADAM_BLOCK``-element
+    blocks of each tensor's flat views. The group's blocks are split into
+    one contiguous share per CPU that ``tensor.side_by_side`` uses, run
+    side by side, each share with its own scratch buffer. Every op is
+    elementwise and each block is written by one thread, so neither the
+    blocking nor the split can change a bit of the result.
     """
-    for name, _, tensor in params.named(group):
+    if optimizer not in ("adam", "sgd"):
+        raise ContractError(f"unknown optimizer {optimizer!r}")
+    named = params.named(group)
+    for name, _, tensor in named:
         if tensor.grad is None:
             raise ContractError(f"parameter {name!r} has no gradient; run backward first")
-        if optimizer == "sgd":
+        if tensor.grad.size != tensor.size:
+            raise ContractError(f"parameter {name!r} has {tensor.size} values and a "
+                                f"gradient of {tensor.grad.size}")
+    if optimizer == "sgd":
+        for _, _, tensor in named:
             tensor.data -= lr * tensor.grad.reshape(tensor.shape)
-            continue
-        if optimizer != "adam":
-            raise ContractError(f"unknown optimizer {optimizer!r}")
+        return
+    blocks = []
+    for name, _, tensor in named:
         g = tensor.grad.reshape(-1)
         t = state.t.get(name, 0) + 1
         m = state.m.get(name)
@@ -213,21 +239,33 @@ def optimizer_step(params: ParamBundle, group: str, lr: float, state: OptimizerS
         bc2 = 1.0 - ADAM_BETA2 ** t
         step_size = lr / (1.0 - ADAM_BETA1 ** t)
         for lo in range(0, g.size, ADAM_BLOCK):
-            hi = min(lo + ADAM_BLOCK, g.size)
-            gb, mb, vb, buf = g[lo:hi], m[lo:hi], v[lo:hi], state.scratch[: hi - lo]
-            mb *= ADAM_BETA1
-            np.multiply(gb, 1.0 - ADAM_BETA1, out=buf)
-            mb += buf
-            vb *= ADAM_BETA2
-            np.multiply(gb, gb, out=buf)
-            buf *= 1.0 - ADAM_BETA2
-            vb += buf
-            np.divide(vb, bc2, out=buf)
-            np.sqrt(buf, out=buf)
-            buf += ADAM_EPS
-            np.divide(mb, buf, out=buf)
-            buf *= step_size
-            data[lo:hi] -= buf
+            hi = lo + ADAM_BLOCK
+            blocks.append((g[lo:hi], m[lo:hi], v[lo:hi], data[lo:hi], bc2, step_size))
+    shares = min(1 + T.CPU_WORKERS, len(blocks))
+    while len(state.scratch) < shares:
+        state.scratch.append(np.empty(ADAM_BLOCK))
+    T.side_by_side([partial(_adam_blocks, blocks[len(blocks) * k // shares:
+                                                 len(blocks) * (k + 1) // shares],
+                            state.scratch[k]) for k in range(shares)])
+
+
+def _adam_blocks(blocks: list, scratch: np.ndarray) -> None:
+    """Adam on each (grad, m, v, data, bc2, step_size) block, in place."""
+    for gb, mb, vb, db, bc2, step_size in blocks:
+        buf = scratch[: gb.size]
+        mb *= ADAM_BETA1
+        np.multiply(gb, 1.0 - ADAM_BETA1, out=buf)
+        mb += buf
+        vb *= ADAM_BETA2
+        np.multiply(gb, gb, out=buf)
+        buf *= 1.0 - ADAM_BETA2
+        vb += buf
+        np.divide(vb, bc2, out=buf)
+        np.sqrt(buf, out=buf)
+        buf += ADAM_EPS
+        np.divide(mb, buf, out=buf)
+        buf *= step_size
+        db -= buf
 
 
 def _set_loss(params: ParamBundle, sets) -> Tensor:

@@ -93,6 +93,15 @@ def test_choose_views_of_every_view_equals_the_sorted_draw(available):
         assert picked.dtype == drawn.dtype and np.array_equal(picked, drawn)
 
 
+def test_choose_views_below_every_view_is_strictly_ascending():
+    for available in (2, 3, 8):
+        for n in range(1, available):
+            for seed, sample_id in [(0, 0), (1, 5), (3, 17), (7, 2**31), (2**63, 4)]:
+                picked = E.choose_views(seed, sample_id, n, available)
+                assert picked.shape == (n,) and picked[0] >= 0 and picked[-1] < available
+                assert np.all(np.diff(picked) > 0), (available, n, seed, sample_id, picked)
+
+
 def test_choose_views_rejects_overdraw():
     with pytest.raises(ContractError):
         E.choose_views(0, 0, 9, 8)

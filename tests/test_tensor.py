@@ -1,5 +1,8 @@
 import gc
 import math
+import os
+import time
+import warnings
 import weakref
 
 import numpy as np
@@ -117,7 +120,7 @@ def test_ew_add_inverse():
 
 
 def test_ew_scalar_operand():
-    got = T.Tensor([1.0, 2.0]) * 2.0
+    got = T.ew_binary("mul", T.Tensor([1.0, 2.0]), T.Tensor(2.0))
     assert np.array_equal(got.data, [2.0, 4.0])
 
 
@@ -310,6 +313,88 @@ def test_matmul_skips_the_frozen_weight_product():
     assert np.array_equal(grads[False][0], grads[True][0])
 
 
+@pytest.mark.parametrize("workers", [0, 1, T.CPU_WORKERS])  # on the caller, on a worker, this host
+def test_matmul_backward_pieces_equal_the_plain_products(monkeypatch, workers):
+    monkeypatch.setattr(T, "CPU_WORKERS", workers)
+    rng = np.random.default_rng(15)
+    for _ in range(10):
+        n, k, p = (int(v) for v in rng.integers(1, 90, 3))
+        b = T.Tensor(rng.standard_normal((k, p)), requires_grad=True)
+        g = rng.standard_normal((n, p))
+        for a_data in (rng.standard_normal((n, k)),
+                       rng.standard_normal((k, n)).T,  # transposed view
+                       rng.standard_normal((n, 2 * k))[:, ::2]):  # strided rows
+            for op in (T.matmul, T.matmul_rows):
+                a = T.Tensor(a_data, requires_grad=True)
+                b.grad = None
+                with T.Tape() as tape:  # the product's upstream gradient is g itself
+                    y = T.ew_binary("mul", op(a, b), T.Tensor(g))
+                    tape.backward(T.reduce_sum(T.reduce_sum(y, 1), 0))
+                assert a.grad.tobytes() == (g @ b.data.T).tobytes()
+                assert b.grad.tobytes() == (a_data.T @ g).tobytes()
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
+                    "OMP_NUM_THREADS")
+
+
+@pytest.mark.parametrize("env, free", [
+    ({}, 0),  # the BLAS's default: a thread on every CPU
+    ({"OPENBLAS_NUM_THREADS": "1"}, 3),
+    ({"OMP_NUM_THREADS": "1"}, 3),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),  # the first one set counts
+    ({"MKL_NUM_THREADS": "9"}, 0),
+    ({"OPENBLAS_NUM_THREADS": "x", "VECLIB_MAXIMUM_THREADS": "0"}, 0),  # not a thread count
+])
+def test_workers_are_the_cpus_the_blas_leaves_free(monkeypatch, env, free):
+    for var in BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    assert T._free_cpus() == free
+
+
+def test_side_by_side_returns_results_in_order(monkeypatch):
+    for workers in (0, 1, 2):
+        monkeypatch.setattr(T, "CPU_WORKERS", workers)
+        assert T.side_by_side([]) == []
+        assert T.side_by_side([lambda i=i: i * i for i in range(5)]) == [0, 1, 4, 9, 16]
+
+
+class _ShareFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing", [0, 2])  # the caller's call, a worker's call
+def test_side_by_side_raises_a_call_error_after_every_call_ends(monkeypatch, failing):
+    monkeypatch.setattr(T, "CPU_WORKERS", 2)
+    error = _ShareFailed(failing)
+    done = []
+
+    def call(i):
+        if i == failing:
+            raise error
+        time.sleep(0.05)
+        done.append(i)
+
+    with pytest.raises(_ShareFailed) as caught:
+        T.side_by_side([lambda i=i: call(i) for i in range(4)])
+    assert caught.value is error
+    assert sorted(done) == [i for i in range(4) if i != failing]
+
+
+def test_side_by_side_runs_workers_under_the_callers_errstate(monkeypatch):
+    monkeypatch.setattr(T, "CPU_WORKERS", 1)
+    big = np.array([1e308])
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            T.side_by_side([lambda: None, lambda: big * 10.0])
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isinf(T.side_by_side([lambda: None, lambda: big * 10.0])[1]).all()
+
+
 def test_sigmoid_matches_three_exp_formula_bit_for_bit():
     x = np.random.default_rng(9).standard_normal((16, 4096)) * 8.0
     want = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
@@ -367,7 +452,7 @@ def test_added_leaves_get_grads_that_share_no_memory():
     a = T.Tensor([1.0, 2.0], requires_grad=True)
     b = T.Tensor([3.0, 4.0], requires_grad=True)
     with T.Tape() as tape:
-        tape.backward(T.reduce_sum(a + b, 0))
+        tape.backward(T.reduce_sum(T.ew_binary("add", a, b), 0))
     assert np.array_equal(a.grad, [1.0, 1.0]) and np.array_equal(b.grad, [1.0, 1.0])
     assert not np.shares_memory(a.grad, b.grad)
 
@@ -391,6 +476,14 @@ def _copy_first_backward(tape, loss):
     return [g for t, g in zip(tape.tensors, grads) if t.requires_grad and g is not None]
 
 
+def _add(a, b):
+    return T.ew_binary("add", a, b)
+
+
+def _mul(a, b):
+    return T.ew_binary("mul", a, b)
+
+
 def _random_graph(rng, leaves, weight, steps=12):
     """A random [n,d] graph over ``leaves``, mixing ops whose pieces are
     g itself, views of g and fresh arrays, with reused intermediates."""
@@ -400,13 +493,13 @@ def _random_graph(rng, leaves, weight, steps=12):
         x, y = (nodes[i] for i in rng.integers(len(nodes), size=2))
         op = rng.integers(9)
         if op == 0:
-            z = x + y
+            z = _add(x, y)
         elif op == 1:
-            z = x * y
+            z = _mul(x, y)
         elif op == 2:
             z = T.matmul(x, weight)
         elif op == 3:
-            z = T.relu(x - y)
+            z = T.relu(_add(x, _mul(y, T.Tensor(-1.0))))
         elif op == 4:
             z = T.softmax_set(x)
         elif op == 5:
@@ -415,13 +508,14 @@ def _random_graph(rng, leaves, weight, steps=12):
             i = int(rng.integers(n))
             z = T.add_rowvec(T.sigmoid(x), T.take_rows(y, [i]))
         elif op == 7:
-            z = T.reshape(T.reshape(x, [x.size]), x.shape) + T.set_sum(T.reshape(y, [y.size])) * 0.01
+            z = _add(T.reshape(T.reshape(x, [x.size]), x.shape),
+                     _mul(T.set_sum(T.reshape(y, [y.size])), T.Tensor(0.01)))
         else:
             d = x.shape[1]
             z = T.add_rowvec(T.repeat_cols(T.reshape(T.reduce_sum(y, 1), [n, 1]), d),
                              T.reshape(T.set_max(x), [1, d]))
         nodes.append(z)
-    return nodes[-1] + nodes[len(leaves) + steps // 2] + leaves[0]
+    return _add(_add(nodes[-1], nodes[len(leaves) + steps // 2]), leaves[0])
 
 
 def test_first_pieces_kept_in_place_match_the_copy_first_rule_bit_for_bit():
@@ -434,7 +528,7 @@ def test_first_pieces_kept_in_place_match_the_copy_first_rule_bit_for_bit():
         before = [t.data.copy() for t in (*leaves, weight)]
         with T.Tape() as tape:
             out = _random_graph(rng, leaves, weight)
-            loss = T.reduce_sum(T.reduce_sum(out * T.Tensor(rng.standard_normal((n, d))), 1), 0)
+            loss = T.reduce_sum(T.reduce_sum(_mul(out, T.Tensor(rng.standard_normal((n, d)))), 1), 0)
             want = _copy_first_backward(tape, loss)
             tape.backward(loss)
         got = [t.grad for t in tape.tensors if t.requires_grad and t.grad is not None]
@@ -471,7 +565,7 @@ def test_fd_of_sum_is_ones():
 
 
 def test_fd_of_square():
-    fd = T.finite_diff_grad(lambda t: T.reduce_sum(t * t, 0), T.Tensor([3.0]))
+    fd = T.finite_diff_grad(lambda t: T.reduce_sum(_mul(t, t), 0), T.Tensor([3.0]))
     assert abs(fd.data[0] - 6.0) < 1e-7
 
 
@@ -572,8 +666,9 @@ def test_gradcheck_take_rows():
         wrow = scalarize(rng.standard_normal(d))
         rows = rng.permutation(n)[: stop - start]
         # overlapping takes of one input, one of them out of order: their pieces accumulate
-        check_grad(lambda t: w(T.take_rows(t, range(start, stop))) + wrow(T.take_rows(t, [start]))
-                   + w(T.take_rows(t, rows)), T.Tensor(rng.standard_normal((n, d))))
+        check_grad(lambda t: _add(_add(w(T.take_rows(t, range(start, stop))),
+                                       wrow(T.take_rows(t, [start]))),
+                                  w(T.take_rows(t, rows))), T.Tensor(rng.standard_normal((n, d))))
 
 
 def test_take_rows_records_nothing_without_a_trainable_input():
@@ -642,11 +737,14 @@ GRU_ARGS = ("x", "h", "Wz", "Uz", "bz", "Wr", "Ur", "br", "Wh", "Uh", "bh")
 
 
 def _gru_chain(x, h, Wz, Uz, bz, Wr, Ur, br, Wh, Uh, bh):
-    """The GRU step as a chain of primitives: the reference for gru_cell."""
-    z = T.sigmoid(T.add_rowvec(T.matmul(x, Wz) + T.matmul(h, Uz), bz))
-    r = T.sigmoid(T.add_rowvec(T.matmul(x, Wr) + T.matmul(h, Ur), br))
-    cand = T.sigmoid(T.add_rowvec(T.matmul(x, Wh) + T.matmul(r * h, Uh), bh) * 2.0) * 2.0 - 1.0
-    return (1.0 - z) * h + z * cand
+    """The GRU step as a chain of primitives: the reference for gru_cell.
+    ``1 - z`` is 1 + z * -1, and ``c - 1`` is c + -1."""
+    one, two, minus_one = T.Tensor(1.0), T.Tensor(2.0), T.Tensor(-1.0)
+    z = T.sigmoid(T.add_rowvec(_add(T.matmul(x, Wz), T.matmul(h, Uz)), bz))
+    r = T.sigmoid(T.add_rowvec(_add(T.matmul(x, Wr), T.matmul(h, Ur)), br))
+    a_h = T.add_rowvec(_add(T.matmul(x, Wh), T.matmul(_mul(r, h), Uh)), bh)
+    cand = _add(_mul(T.sigmoid(_mul(a_h, two)), two), minus_one)
+    return _add(_mul(_add(one, _mul(z, minus_one)), h), _mul(z, cand))
 
 
 def _gru_inputs(rng, dx=5, width=4, steps=3, rows=1):

@@ -102,6 +102,40 @@ def test_step_requires_gradients():
         TR.optimizer_step(params, "base", 0.1, TR.OptimizerState())
 
 
+def _state_copy(state):
+    return ({k: v.copy() for k, v in state.m.items()}, {k: v.copy() for k, v in state.v.items()},
+            dict(state.t), list(state.scratch))
+
+
+@pytest.mark.parametrize("optimizer, fault", [("adam", "last_grad_missing"),
+                                              ("sgd", "last_grad_missing"),
+                                              ("adam", "last_grad_short"),
+                                              ("adagrad", None)])
+def test_refused_step_writes_nothing(optimizer, fault):
+    rng = np.random.default_rng(12)
+    params = tiny_model()
+    for t in params.base.values():
+        t.grad = rng.standard_normal(t.size)
+    state = TR.OptimizerState()
+    TR.optimizer_step(params, "base", 1e-2, state)  # moments and scratch in use
+    data = {k: t.data.copy() for k, t in params.base.items()}
+    moments = _state_copy(state)
+    last = params.named("base")[-1][2]
+    if fault == "last_grad_missing":
+        last.grad = None
+    elif fault == "last_grad_short":
+        last.grad = last.grad[1:]
+    with pytest.raises(ContractError):
+        TR.optimizer_step(params, "base", 1e-2, state, optimizer=optimizer)
+    assert all(np.array_equal(t.data, data[k]) for k, t in params.base.items())
+    m, v, steps, scratch = moments
+    assert state.m.keys() == m.keys() and all(np.array_equal(state.m[k], m[k]) for k in m)
+    assert state.v.keys() == v.keys() and all(np.array_equal(state.v[k], v[k]) for k in v)
+    assert state.t == steps
+    assert len(state.scratch) == len(scratch)
+    assert all(a is b for a, b in zip(state.scratch, scratch))
+
+
 def _adam_unblocked(data, g, m, v, t, lr):
     """The textbook update, one whole-array op at a time."""
     m *= TR.ADAM_BETA1
@@ -113,6 +147,16 @@ def _adam_unblocked(data, g, m, v, t, lr):
 
 
 def test_blocked_adam_matches_unblocked_formula():
+    _check_adam_against_unblocked(T.CPU_WORKERS)  # this host's share count
+
+
+@pytest.mark.parametrize("workers", [0, 2], ids=["1-share", "3-shares"])
+def test_adam_shares_match_unblocked_formula(monkeypatch, workers):
+    monkeypatch.setattr(T, "CPU_WORKERS", workers)
+    _check_adam_against_unblocked(workers)
+
+
+def _check_adam_against_unblocked(workers):
     rng = np.random.default_rng(11)
     block = TR.ADAM_BLOCK
     shapes = {"small": (7, 3), "one_block": (block,), "two_blocks": (2, block),
@@ -130,6 +174,19 @@ def test_blocked_adam_matches_unblocked_formula():
         TR.optimizer_step(params, "base", 1e-2, state)
         for name, t in params.base.items():
             assert np.array_equal(t.data, want[name]), (name, step)
+    assert len(state.scratch) == 1 + workers  # 7 blocks, so every share has one
+
+
+def test_an_error_in_a_worker_share_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(T, "CPU_WORKERS", 2)
+    rng = np.random.default_rng(13)
+    params = M.ParamBundle(base={k: Tensor(rng.standard_normal(TR.ADAM_BLOCK), requires_grad=True)
+                                 for k in "abcde"}, att={}, cfg=None)
+    for t in params.base.values():
+        t.grad = rng.standard_normal(t.size)
+    params.base["e"].data.flags.writeable = False  # the last share's last block cannot be written
+    with pytest.raises(ValueError, match="read-only"):
+        TR.optimizer_step(params, "base", 1e-2, TR.OptimizerState())
 
 
 def test_base_step_leaves_att_bit_identical(tiny_dataset):
