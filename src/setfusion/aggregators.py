@@ -143,24 +143,29 @@ def aggregator_init(kind: str, width: int, seed: int = 0) -> AggregatorParams:
     return AggregatorParams(kind=kind, weights=weights)
 
 
-def _attend(x: Tensor, w: Tensor) -> tuple[Tensor, Tensor]:
+def _attend(x: Tensor, w: Tensor) -> tuple[Tensor, np.ndarray]:
     """The one AttSets module on a set stored as [N, S*C], with C the rows of
     ``w``: a shared C x C map (or C x 1, one score per element) scores every
     position's C features, and the scores, normalized over the set axis,
-    weight a sum over it. Returns the fused [S*C] features and the scores.
+    weight a sum over it. Returns the fused [S*C] features and the scores,
+    one per feature in the row-major order of ``x``, as a plain array.
     """
     n, ch = x.shape[0], w.shape[0]
     rows = x.size // ch  # N*S rows of one position's C features
-    c = T.matmul_rows(T.reshape(x, [rows, ch]), w)
+    xr = T.reshape(x, [rows, ch])
+    c = T.matmul_rows(xr, w)
     s = T.softmax_set(T.reshape(c, [n, c.size // n]))
-    if w.shape[1] != ch:  # one score per element and position, spread over its C features
-        s = T.reshape(T.repeat_cols(T.reshape(s, [rows, 1]), ch), list(x.shape))
-    return T.set_sum(T.ew_binary("mul", x, s)), s
+    if w.shape[1] == ch:
+        return T.set_sum(T.ew_binary("mul", x, s)), s.data
+    # one score per element and position, spread over its C features
+    s = T.reshape(s, [rows, 1])
+    fused = T.set_sum(T.reshape(T.ew_binary("mul", xr, s), list(x.shape)))
+    return fused, np.broadcast_to(s.data, (rows, ch))
 
 
-def _fuse(x: Tensor, kind: str, w: Tensor | None) -> tuple[Tensor, Tensor | None]:
-    """Every kind but the GRU on an [N, L*C] set, ``w`` the attention
-    weight: the fused [L*C] features and the [N, L*C] scores (None for
+def _fuse(x: Tensor, kind: str, w: Tensor | None) -> tuple[Tensor, np.ndarray | None]:
+    """Every kind but the GRU on an [N, S*C] set, ``w`` the attention
+    weight: the fused [S*C] features and ``_attend``'s scores (None for
     poolings)."""
     if kind in ATTENTION_KINDS:
         return _attend(x, w)
@@ -236,6 +241,6 @@ def aggregate(batch: SetBatch, params: AggregatorParams
         rows = [first[j] + i for i in range(n) for j in bucket]
         y, s = _fuse(T.reshape(T.take_rows(batch.data, rows), [n, len(bucket) * width]), kind, w)
         if s is not None:
-            scores[rows] = s.data.reshape(-1, width)
+            scores[rows] = s.reshape(-1, width)
         fused.append(T.reshape(y, [len(bucket), width]))
     return T.take_rows(T.stack_rows(fused), np.argsort(order)), scores

@@ -12,7 +12,6 @@ error, 3 selftest failure, 4 numeric overflow in training.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -168,10 +167,6 @@ def cmd_selftest(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "bench":
-        # timing stability: pin BLAS pools before numpy loads
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, "1")
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -174,14 +174,14 @@ def _agg_params(params: ParamBundle):
 
 def encode_batch(images: Tensor, params: ParamBundle) -> Tensor:
     """Shared encoder over a [B, image_side^2] stack of flattened views."""
-    h = T.relu(T.add_rowvec(T.matmul(images, params.base["enc_w1"]), params.base["enc_b1"]))
-    return T.add_rowvec(T.matmul(h, params.base["enc_w2"]), params.base["enc_b2"])
+    h = T.relu(T.ew_binary("add", T.matmul(images, params.base["enc_w1"]), params.base["enc_b1"]))
+    return T.ew_binary("add", T.matmul(h, params.base["enc_w2"]), params.base["enc_b2"])
 
 
 def decode_batch(latents: Tensor, params: ParamBundle) -> Tensor:
     """Decoder from [B, D] latents to [B, G^3] occupancy probabilities."""
-    h = T.relu(T.add_rowvec(T.matmul(latents, params.base["dec_w1"]), params.base["dec_b1"]))
-    return T.sigmoid(T.add_rowvec(T.matmul(h, params.base["dec_w2"]), params.base["dec_b2"]))
+    h = T.relu(T.ew_binary("add", T.matmul(latents, params.base["dec_w1"]), params.base["dec_b1"]))
+    return T.sigmoid(T.ew_binary("add", T.matmul(h, params.base["dec_w2"]), params.base["dec_b2"]))
 
 
 def _view_rows(views, params: ParamBundle) -> list[Tensor]:

@@ -11,6 +11,13 @@ rest of the package leans on:
   evaluation paths carry no autodiff overhead.
 * Every checked op is built by one constructor, ``_op``: it wraps the
   result, checks that it is finite and records it on the active tape.
+  The copy ops ``reshape``, ``take_rows`` and ``stack_rows`` compute no
+  value, so they skip the finite check.
+* ``ew_binary`` adds or multiplies under numpy's broadcasting rule, the
+  one broadcast in the core: a [1,F] bias row, an [N,1] column of scores
+  and a 0-d scalar all spread over the other operand. An operand's
+  gradient is the upstream piece summed (keepdims) over the leading axes
+  it lacks and over each axis it was spread along from extent 1.
 * ``Tape.backward``, the one reverse pass, computes only the products
   that reach a ``requires_grad`` leaf: each closure is told which of its
   inputs need a gradient and skips the others, so a frozen weight, an
@@ -82,8 +89,6 @@ __all__ = [
     "reduce_sum",
     "set_sum",
     "set_max",
-    "add_rowvec",
-    "repeat_cols",
     "reshape",
     "take_rows",
     "stack_rows",
@@ -342,29 +347,33 @@ def matmul_rows(a: Tensor, b: Tensor) -> Tensor:
     return _matmul("matmul_rows", lambda x, y: np.matmul(x[:, None, :], y)[:, 0, :], a, b)
 
 
+def _unbroadcast(piece: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The gradient of an operand of ``shape`` that broadcasting spread to
+    ``piece``'s shape: ``piece`` summed over the leading axes the operand
+    lacks and over each axis it has at extent 1 where ``piece`` does not."""
+    lead = piece.ndim - len(shape)
+    axes = tuple(range(lead)) + tuple(i for i in range(lead, piece.ndim)
+                                      if shape[i - lead] == 1 != piece.shape[i])
+    return piece.sum(axis=axes, keepdims=True).reshape(shape) if axes else piece
+
+
 def ew_binary(op: str, a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise add or mul of same-shape tensors (or one scalar operand)."""
+    """Elementwise add or mul of two tensors under numpy's broadcasting rule."""
     if op not in ("add", "mul"):
         raise ContractError(f"unknown elementwise op {op!r}")
-    a_scalar, b_scalar = a.size == 1, b.size == 1
-    if a.shape != b.shape and not (a_scalar or b_scalar):
-        raise ShapeError(f"shape mismatch for {op}: {list(a.shape)} vs {list(b.shape)}")
-
-    def reduce_to(g, t, is_scalar):
-        if is_scalar and g.shape != t.data.shape:
-            return np.sum(g).reshape(t.data.shape)
-        return g
+    try:
+        value = a.data + b.data if op == "add" else a.data * b.data
+    except ValueError:
+        raise ShapeError(f"{op} cannot broadcast {list(a.shape)} with {list(b.shape)}") from None
 
     if op == "add":
         def bwd(g, need):
-            return (reduce_to(g, a, a_scalar) if need[0] else None,
-                    reduce_to(g, b, b_scalar) if need[1] else None)
-        value = a.data + b.data
+            return (_unbroadcast(g, a.shape) if need[0] else None,
+                    _unbroadcast(g, b.shape) if need[1] else None)
     else:
         def bwd(g, need):
-            return (reduce_to(g * b.data, a, a_scalar) if need[0] else None,
-                    reduce_to(g * a.data, b, b_scalar) if need[1] else None)
-        value = a.data * b.data
+            return (_unbroadcast(g * b.data, a.shape) if need[0] else None,
+                    _unbroadcast(g * a.data, b.shape) if need[1] else None)
 
     return _op(op, value, (a, b), bwd)
 
@@ -476,31 +485,6 @@ def set_max(a: Tensor) -> Tensor:
     return _op("set_max", value, (a,), bwd)
 
 
-def add_rowvec(mat: Tensor, row: Tensor) -> Tensor:
-    """Add a [1,F] row vector to every row of an [N,F] matrix."""
-    if mat.data.ndim != 2 or row.data.ndim != 2 or row.shape[0] != 1:
-        raise ShapeError(f"add_rowvec needs [N,F] + [1,F], got {list(mat.shape)} + {list(row.shape)}")
-    if mat.shape[1] != row.shape[1]:
-        raise ShapeError(f"width mismatch: {list(mat.shape)} + {list(row.shape)}")
-
-    def bwd(g, need):
-        return (g if need[0] else None, g.sum(axis=0, keepdims=True) if need[1] else None)
-
-    return _op("add_rowvec", mat.data + row.data, (mat, row), bwd)
-
-
-def repeat_cols(a: Tensor, width: int) -> Tensor:
-    """Broadcast an [N,1] column across ``width`` columns."""
-    if a.data.ndim != 2 or a.shape[1] != 1:
-        raise ShapeError(f"repeat_cols needs an [N,1] tensor, got {list(a.shape)}")
-    out = Tensor(np.repeat(a.data, width, axis=1))
-
-    def bwd(g, need):
-        return (g.sum(axis=1, keepdims=True),)
-
-    return _record(out, (a,), bwd)
-
-
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     """``a`` with new extents; ``a`` itself when they are unchanged, so a
     no-op reshape records nothing on the tape."""
@@ -604,7 +588,9 @@ def gru_cell(x: Tensor, h: Tensor, Wz: Tensor, Uz: Tensor, bz: Tensor, Wr: Tenso
         need_ah = need_ar or nWh or nUh or nbh  # the r path runs through a_h
         # gh and gx sum their pieces in the order the chain's reverse sweep
         # reaches them: gh from (1-z)*h, r*h, h Ur, h Uz; gx from Wh, Wr, Wz.
-        # Bias pieces keep add_rowvec's row sum, which also maps -0.0 to +0.0.
+        # A bias piece is the sum over the B rows, as the chain's broadcast
+        # add forms it for B >= 2; at B = 1 the add passes its one row
+        # through, and the sum differs only in mapping -0.0 to +0.0.
         gx = gh = g_az = g_ar = g_ah = None
         if need_az:
             gz = g * cand

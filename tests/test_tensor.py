@@ -129,6 +129,53 @@ def test_ew_shape_mismatch():
         T.ew_binary("add", T.Tensor([1.0, 2.0]), T.Tensor([1.0, 2.0, 3.0]))
 
 
+_BROADCASTS = {  # (a's shape, b's shape): a [1,F] row, an [N,1] column, a 0-d scalar, a rank-1 [F]
+    "row-right": ((4, 3), (1, 3)),
+    "row-left": ((1, 3), (4, 3)),
+    "column-right": ((4, 3), (4, 1)),
+    "column-left": ((4, 1), (4, 3)),
+    "row-by-column": ((1, 3), (4, 1)),
+    "scalar-right": ((4, 3), ()),
+    "scalar-left": ((), (4, 3)),
+    "rank1-right": ((4, 3), (3,)),
+    "rank1-left": ((3,), (4, 3)),
+    "one-row": ((1, 3), (1, 3)),
+}
+
+
+@pytest.mark.parametrize("op", ["add", "mul"])
+@pytest.mark.parametrize("shapes", _BROADCASTS.values(), ids=_BROADCASTS.keys())
+def test_gradcheck_ew_broadcast(op, shapes):
+    rng = np.random.default_rng(110)
+    for trial in range(5):
+        a, b = (T.Tensor(rng.standard_normal(shape)) for shape in shapes)
+        want = a.data + b.data if op == "add" else a.data * b.data
+        assert T.ew_binary(op, a, b).data.tobytes() == want.tobytes()
+        w = scalarize(rng.standard_normal(want.size))
+        check_grad(lambda t: w(T.ew_binary(op, t, b)), T.Tensor(a.data))
+        check_grad(lambda t: w(T.ew_binary(op, a, t)), T.Tensor(b.data))
+
+
+@pytest.mark.parametrize("n", [2, 7])
+def test_broadcast_grads_are_the_row_and_column_sums_bit_for_bit(n):
+    rng = np.random.default_rng(111)
+    for _ in range(10):
+        d = int(rng.integers(1, 40))
+        x = rng.standard_normal((n, d))
+        g = rng.standard_normal((n, d))  # the upstream gradient of every op below
+        for left in (False, True):
+            row = T.Tensor(rng.standard_normal((1, d)), requires_grad=True)
+            col = T.Tensor(rng.standard_normal((n, 1)), requires_grad=True)
+            with T.Tape() as tape:
+                pair = (row, T.Tensor(x)) if left else (T.Tensor(x), row)
+                loss = T.reduce_sum(T.reduce_sum(_mul(_add(*pair), T.Tensor(g)), 1), 0)
+                pair = (col, T.Tensor(x)) if left else (T.Tensor(x), col)
+                loss = _add(loss, T.reduce_sum(T.reduce_sum(_mul(_mul(*pair), T.Tensor(g)), 1), 0))
+                tape.backward(loss)
+            assert row.grad.tobytes() == g.sum(axis=0, keepdims=True).tobytes()
+            assert col.grad.tobytes() == (g * x).sum(axis=1, keepdims=True).tobytes()
+
+
 # ------------------------------------------------------------ sigmoid/relu
 
 def test_unary_values():
@@ -506,14 +553,13 @@ def _random_graph(rng, leaves, weight, steps=12):
             z = T.stack_rows([T.take_rows(x, [int(i)]) for i in rng.permutation(n)])
         elif op == 6:
             i = int(rng.integers(n))
-            z = T.add_rowvec(T.sigmoid(x), T.take_rows(y, [i]))
+            z = _add(T.sigmoid(x), T.take_rows(y, [i]))  # a [1,d] row spread over n rows
         elif op == 7:
             z = _add(T.reshape(T.reshape(x, [x.size]), x.shape),
                      _mul(T.set_sum(T.reshape(y, [y.size])), T.Tensor(0.01)))
         else:
-            d = x.shape[1]
-            z = T.add_rowvec(T.repeat_cols(T.reshape(T.reduce_sum(y, 1), [n, 1]), d),
-                             T.reshape(T.set_max(x), [1, d]))
+            # an [n,1] column and a [1,d] row, each spread along the other's axis
+            z = _add(T.reshape(T.reduce_sum(y, 1), [n, 1]), T.reshape(T.set_max(x), [1, x.shape[1]]))
         nodes.append(z)
     return _add(_add(nodes[-1], nodes[len(leaves) + steps // 2]), leaves[0])
 
@@ -648,11 +694,12 @@ def test_gradcheck_structural_ops():
         n, d = int(rng.integers(1, 9)), int(rng.integers(1, 9))
         w = scalarize(rng.standard_normal(n * d))
         row = T.Tensor(rng.standard_normal((1, d)))
-        check_grad(lambda t: w(T.add_rowvec(t, row)), T.Tensor(rng.standard_normal((n, d))))
+        check_grad(lambda t: w(_add(t, row)), T.Tensor(rng.standard_normal((n, d))))
         mat = T.Tensor(rng.standard_normal((n, d)))
         wr = scalarize(rng.standard_normal(n * d))
-        check_grad(lambda t: wr(T.add_rowvec(mat, t)), T.Tensor(rng.standard_normal((1, d))))
-        check_grad(lambda t: w(T.repeat_cols(t, d)), T.Tensor(rng.standard_normal((n, 1))))
+        check_grad(lambda t: wr(_add(mat, t)), T.Tensor(rng.standard_normal((1, d))))
+        ones = T.Tensor(np.ones((1, d)))
+        check_grad(lambda t: w(_mul(t, ones)), T.Tensor(rng.standard_normal((n, 1))))
         check_grad(lambda t: w(T.reshape(t, [n * d])), T.Tensor(rng.standard_normal((n, d))))
 
 
@@ -740,9 +787,9 @@ def _gru_chain(x, h, Wz, Uz, bz, Wr, Ur, br, Wh, Uh, bh):
     """The GRU step as a chain of primitives: the reference for gru_cell.
     ``1 - z`` is 1 + z * -1, and ``c - 1`` is c + -1."""
     one, two, minus_one = T.Tensor(1.0), T.Tensor(2.0), T.Tensor(-1.0)
-    z = T.sigmoid(T.add_rowvec(_add(T.matmul(x, Wz), T.matmul(h, Uz)), bz))
-    r = T.sigmoid(T.add_rowvec(_add(T.matmul(x, Wr), T.matmul(h, Ur)), br))
-    a_h = T.add_rowvec(_add(T.matmul(x, Wh), T.matmul(_mul(r, h), Uh)), bh)
+    z = T.sigmoid(_add(_add(T.matmul(x, Wz), T.matmul(h, Uz)), bz))
+    r = T.sigmoid(_add(_add(T.matmul(x, Wr), T.matmul(h, Ur)), br))
+    a_h = _add(_add(T.matmul(x, Wh), T.matmul(_mul(r, h), Uh)), bh)
     cand = _add(_mul(T.sigmoid(_mul(a_h, two)), two), minus_one)
     return _add(_mul(_add(one, _mul(z, minus_one)), h), _mul(z, cand))
 
@@ -863,12 +910,10 @@ def _unrecorded_loss():
                  "set_sum needs at least rank 1", id="set_sum-rank"),
     pytest.param(lambda: T.set_max(T.Tensor(1.0)), ShapeError,
                  "set_max needs at least rank 1", id="set_max-rank"),
-    pytest.param(lambda: T.add_rowvec(_ones(2, 3), _ones(2, 3)), ShapeError,
-                 r"add_rowvec needs \[N,F\] \+ \[1,F\]", id="add_rowvec-rows"),
-    pytest.param(lambda: T.add_rowvec(_ones(2, 3), _ones(1, 2)), ShapeError,
-                 "width mismatch", id="add_rowvec-width"),
-    pytest.param(lambda: T.repeat_cols(_ones(2, 2), 3), ShapeError,
-                 r"repeat_cols needs an \[N,1\]", id="repeat_cols-column"),
+    pytest.param(lambda: T.ew_binary("add", _ones(2, 3), _ones(1, 2)), ShapeError,
+                 r"^add cannot broadcast \[2, 3\] with \[1, 2\]", id="ew_binary-row-width"),
+    pytest.param(lambda: T.ew_binary("mul", _ones(2, 3), _ones(2, 2)), ShapeError,
+                 r"^mul cannot broadcast \[2, 3\] with \[2, 2\]", id="ew_binary-column-width"),
     pytest.param(lambda: T.take_rows(_ones(3), [0]), ShapeError,
                  "take_rows needs a rank-2", id="take_rows-rank"),
     pytest.param(lambda: T.stack_rows([]), ContractError,
@@ -903,7 +948,7 @@ _NAN = np.array([[np.nan, 1.0], [2.0, 3.0]])
     ("reduce_sum", lambda x: T.reduce_sum(x, 0)),
     ("set_sum", T.set_sum),
     ("set_max", T.set_max),
-    ("add_rowvec", lambda x: T.add_rowvec(x, _ones(1, 2))),
+    pytest.param("add", lambda x: T.ew_binary("add", x, _ones(1, 2)), id="add-row"),
     ("gru_cell", lambda x: T.gru_cell(x, _ones(2, 2), *[_ones(2, 2), _ones(2, 2), _ones(1, 2)] * 3)),
     ("bce_loss", lambda x: T.bce_loss(x, _ones(2, 2))),
 ])
@@ -914,6 +959,5 @@ def test_checked_ops_raise_on_a_non_finite_result(name, call):
 
 def test_copy_ops_pass_a_non_finite_value_through():
     x = T.Tensor(_NAN)
-    outs = [T.repeat_cols(T.Tensor(_NAN[:, :1]), 3), T.reshape(x, [4]),
-            T.take_rows(x, [1, 0]), T.stack_rows([x, x])]
+    outs = [T.reshape(x, [4]), T.take_rows(x, [1, 0]), T.stack_rows([x, x])]
     assert all(np.isnan(out.data).any() for out in outs)

@@ -447,6 +447,25 @@ def test_schedule_refuses_an_unreachable_stage2():
     assert TR.schedule("faset", "mean", "fixed:1")[1][1] is TR.finetune
 
 
+@pytest.mark.parametrize("batch_size", [1, 4])
+def test_one_stage1_trains_the_same_base_for_every_kind_but_the_gru(tiny_dataset, batch_size):
+    # Stage 1 draws one-element sets, and on one element every kind but the
+    # GRU returns that element, so FASet's first trainer trains one base.
+    cfg = tiny_train_cfg(batch_size=batch_size, stage1_steps=20, n_mode="fixed:8")
+    runs = {}
+    for kind in AGGREGATOR_KINDS:
+        params = M.model_init(M.ModelConfig(image_side=8, latent_dim=16, encoder_hidden=16,
+                                            decoder_hidden=16, grid_side=8,
+                                            aggregator_kind=kind, seed=1))
+        (tag, trainer), _ = TR.schedule("faset", kind, cfg.n_mode)
+        assert tag == "stage1"
+        report = trainer(params, tiny_dataset, cfg)
+        runs[kind] = (report.base_checksum, np.array(report.losses).tobytes())
+    gru = runs.pop("gru")
+    assert len(runs) == 6 and len(set(runs.values())) == 1
+    assert gru[0] != runs["mean"][0]
+
+
 # -------------------------------------------------------------- joint_train
 
 def test_joint_fixed1_matches_stage1_base_trajectory(tiny_dataset):
