@@ -10,7 +10,7 @@ The package is organized as a small numpy-backed library:
 * ``model`` -- encoder/aggregator/decoder pipeline with base vs attention
   parameter groups and a binary checkpoint format.
 * ``training`` -- the two-stage schedule (base on single views, attention
-  on multi-view sets), a joint baseline, finetuning, and optimizers.
+  on multi-view sets), a joint baseline, finetuning, and the Adam optimizer.
 * ``data`` -- procedural multi-view depth dataset over voxel shapes.
 * ``metrics`` -- voxel IoU with binarization-threshold search and
   per-view-count evaluation sweeps.

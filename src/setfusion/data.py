@@ -34,9 +34,10 @@ File format (all integers little-endian):
       K images as image_side^2 float64 values.
 
 Train ids are 0..train_count-1 and test ids continue from train_count, so
-the two splits can never share a sample. The loader checks every sample
-id, every occupancy byte and every depth value, and raises ``FormatError``
-at the byte offset of the first bad field.
+the two splits can never share a sample. The loader checks the header's
+sizes (G >= 2, image_side >= 1), every sample id, every occupancy byte and
+every depth value, and raises ``FormatError`` at the byte offset of the
+first bad field.
 """
 
 from __future__ import annotations
@@ -293,6 +294,10 @@ def load_dataset(path) -> tuple[list[MultiViewSample], DatasetMeta]:
     if version != DATASET_VERSION:
         raise FormatError(
             f"dataset version {version}, this build reads version {DATASET_VERSION}", offset=4)
+    if g < 2:
+        raise FormatError(f"grid side {g}, must be >= 2", offset=8)
+    if side < 1:
+        raise FormatError(f"image side {side}, must be >= 1", offset=12)
     if k != VIEW_COUNT:
         raise FormatError(f"view count {k}, this build reads {VIEW_COUNT}", offset=16)
     train_count, test_count, seed = struct.unpack("<QQQ", blob[24:48])

@@ -210,7 +210,7 @@ def eval_sweep(params, testset, cfg: EvalConfig, method: str | None = None) -> E
         raise ContractError("evaluation needs a non-empty test set")
     _check_counts(cfg.view_counts, testset[0].views.shape[0])
     if method is None:
-        method = params.cfg.aggregator_kind if params.cfg else "unknown"
+        method = model._config(params).aggregator_kind
     rows, per_sample = [], {}
     for n in cfg.view_counts:
         preds = _predicted_probs(params, testset, cfg, n)

@@ -1,4 +1,4 @@
-"""Two-stage decoupled training, the joint baseline, and the optimizers.
+"""Two-stage decoupled training, the joint baseline, and the Adam optimizer.
 
 The two-stage schedule splits optimization by parameter group:
 
@@ -108,7 +108,6 @@ class TrainConfig:
     n_mode: str = "fixed:8"  # set-size regime for stage 2 / joint / finetune
     learning_rate: float = 1e-3
     finetune_rate: float = 1e-5
-    optimizer: str = "adam"
     seed: int = 0
 
     def validate(self) -> None:
@@ -117,8 +116,6 @@ class TrainConfig:
         for key in ("stage1_steps", "stage2_steps"):
             if getattr(self, key) < 0:
                 raise ContractError(f"train.{key} must be >= 0, got {getattr(self, key)}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ContractError(f"unknown train.optimizer {self.optimizer!r}; expected adam or sgd")
         for key in ("learning_rate", "finetune_rate"):
             rate = getattr(self, key)
             if not (np.isfinite(rate) and rate >= 0):
@@ -185,32 +182,31 @@ def sample_minibatch(dataset, cfg: TrainConfig, step: int, n_mode: str | None = 
 
 
 class OptimizerState:
-    """Per-tensor Adam moments (flat), keyed by parameter name, and one
+    """Adam's state for one parameter group: per-tensor moments (flat),
+    keyed by parameter name, the group's step count ``t``, and one
     block-sized scratch buffer per share of an update (see
-    ``optimizer_step``), which every later update reuses."""
+    ``optimizer_step``), which every later update reuses. A state is
+    stepped as a whole group, so one count serves every tensor."""
 
     def __init__(self):
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
-        self.t: dict[str, int] = {}
+        self.t = 0
         self.scratch: list[np.ndarray] = []
 
 
-def optimizer_step(params: ParamBundle, group: str, lr: float, state: OptimizerState,
-                   optimizer: str = "adam") -> None:
-    """Apply one update to the named group; all other tensors stay untouched.
+def optimizer_step(params: ParamBundle, group: str, lr: float, state: OptimizerState) -> None:
+    """Apply one Adam update to the named group; all other tensors stay untouched.
 
-    The optimizer name and every tensor's gradient are checked before
-    anything is written, so a refused step leaves the tensors and ``state``
-    as they were. Adam runs allocation-free over ``ADAM_BLOCK``-element
-    blocks of each tensor's flat views. The group's blocks are split into
-    one contiguous share per CPU that ``tensor.side_by_side`` uses, run
-    side by side, each share with its own scratch buffer. Every op is
-    elementwise and each block is written by one thread, so neither the
-    blocking nor the split can change a bit of the result.
+    Every tensor's gradient is checked before anything is written, so a
+    refused step leaves the tensors and ``state`` as they were. Adam runs
+    allocation-free over ``ADAM_BLOCK``-element blocks of each tensor's flat
+    views. The group's blocks are split into one contiguous share per CPU
+    that ``tensor.side_by_side`` uses, run side by side, each share with its
+    own scratch buffer. Every op is elementwise and each block is written by
+    one thread, so neither the blocking nor the split can change a bit of
+    the result.
     """
-    if optimizer not in ("adam", "sgd"):
-        raise ContractError(f"unknown optimizer {optimizer!r}")
     named = params.named(group)
     for name, _, tensor in named:
         if tensor.grad is None:
@@ -218,40 +214,36 @@ def optimizer_step(params: ParamBundle, group: str, lr: float, state: OptimizerS
         if tensor.grad.size != tensor.size:
             raise ContractError(f"parameter {name!r} has {tensor.size} values and a "
                                 f"gradient of {tensor.grad.size}")
-    if optimizer == "sgd":
-        for _, _, tensor in named:
-            tensor.data -= lr * tensor.grad.reshape(tensor.shape)
-        return
+    state.t += 1
+    bc2 = 1.0 - ADAM_BETA2 ** state.t
+    step_size = lr / (1.0 - ADAM_BETA1 ** state.t)
     blocks = []
     for name, _, tensor in named:
         g = tensor.grad.reshape(-1)
-        t = state.t.get(name, 0) + 1
         m = state.m.get(name)
         v = state.v.get(name)
         if m is None:
             m = np.zeros(g.size)
             v = np.zeros(g.size)
             state.m[name], state.v[name] = m, v
-        state.t[name] = t
         if not tensor.data.flags.c_contiguous:  # the flat view must alias the data
             tensor.data = np.ascontiguousarray(tensor.data)
         data = tensor.data.reshape(-1)
-        bc2 = 1.0 - ADAM_BETA2 ** t
-        step_size = lr / (1.0 - ADAM_BETA1 ** t)
         for lo in range(0, g.size, ADAM_BLOCK):
             hi = lo + ADAM_BLOCK
-            blocks.append((g[lo:hi], m[lo:hi], v[lo:hi], data[lo:hi], bc2, step_size))
+            blocks.append((g[lo:hi], m[lo:hi], v[lo:hi], data[lo:hi]))
     shares = min(1 + T.CPU_WORKERS, len(blocks))
     while len(state.scratch) < shares:
         state.scratch.append(np.empty(ADAM_BLOCK))
     T.side_by_side([partial(_adam_blocks, blocks[len(blocks) * k // shares:
                                                  len(blocks) * (k + 1) // shares],
-                            state.scratch[k]) for k in range(shares)])
+                            state.scratch[k], bc2, step_size) for k in range(shares)])
 
 
-def _adam_blocks(blocks: list, scratch: np.ndarray) -> None:
-    """Adam on each (grad, m, v, data, bc2, step_size) block, in place."""
-    for gb, mb, vb, db, bc2, step_size in blocks:
+def _adam_blocks(blocks: list, scratch: np.ndarray, bc2: float, step_size: float) -> None:
+    """Adam on each (grad, m, v, data) block, in place, with the step's bias
+    correction ``bc2`` and step size ``step_size``."""
+    for gb, mb, vb, db in blocks:
         buf = scratch[: gb.size]
         mb *= ADAM_BETA1
         np.multiply(gb, 1.0 - ADAM_BETA1, out=buf)
@@ -297,7 +289,7 @@ def _run(params: ParamBundle, dataset, cfg: TrainConfig, *, stage: str, steps: i
                 with T.Tape() as tape:
                     loss = _set_loss(params, batch)
                     tape.backward(loss)
-                optimizer_step(params, group, lr, state, cfg.optimizer)
+                optimizer_step(params, group, lr, state)
                 losses.append(loss.item())
     except NumericOverflowError as e:
         raise NumericOverflowError(f"{stage} step {step}: {e}") from e

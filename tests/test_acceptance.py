@@ -20,7 +20,7 @@ from setfusion import training as TR
 from setfusion.tensor import Tensor
 
 TRAIN_CFG = dict(batch_size=16, stage1_steps=600, stage2_steps=600,
-                 n_mode="fixed:8", learning_rate=1e-3, optimizer="adam", seed=2)
+                 n_mode="fixed:8", learning_rate=1e-3, seed=2)
 MODEL_CFG = dict(aggregator_kind="attsets_fc", seed=1)
 EVAL_SEED = 3
 DATA_SEED = 0

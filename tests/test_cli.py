@@ -115,8 +115,7 @@ def test_train_joint_mode(tmp_path):
 def test_train_overflow_is_exit_4_naming_stage_and_step(tmp_path, capsys):
     assert tiny_run("generate", tmp_path) == 0
     capsys.readouterr()
-    code = tiny_run("train", tmp_path, "--set", "train.learning_rate=1e150",
-                    "--set", "train.optimizer=sgd")
+    code = tiny_run("train", tmp_path, "--set", "train.learning_rate=1e150")
     assert code == 4
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: stage1 step ")
@@ -299,8 +298,8 @@ def test_section_defaults_are_the_dataclass_fields(section, cls, seed):
     assert built == dataclasses.replace(cls(), seed=seed)
 
 
-def test_config_has_thirty_keys_and_no_model_sides():
-    assert sum(len(body) for body in DEFAULTS.values()) == 30
+def test_config_has_twenty_nine_keys_and_no_model_sides():
+    assert sum(len(body) for body in DEFAULTS.values()) == 29
     assert not {"grid_side", "image_side"} & set(DEFAULTS["model"])
 
 
@@ -387,9 +386,12 @@ def test_config_file_with_unknown_key(tmp_path, capsys):
     (["--set", "bench.repeats=29"], "bench.repeats"),
     (["--set", "bench.warmups=4"], "bench.warmups"),
     (["--set", "bench.n_grid=[]"], "bench.n_grid"),
-    (["--set", 'bench.aggregators=["bogus"]'], "bench.aggregators")])
+    (["--set", 'bench.aggregators=["bogus"]'], "bench.aggregators"),
+    (["--config", "optimizer.json"], "train.optimizer")])
 def test_invalid_config_is_rejected_before_any_file(tmp_path, capsys, argv, named):
     (tmp_path / "latin1.json").write_bytes('{"data": {"seed": "\xe9"}}'.encode("latin-1"))
+    # an echo written while train.optimizer was still a key
+    (tmp_path / "optimizer.json").write_text('{"train": {"optimizer": "adam"}}')
     argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
     out = tmp_path / "o"
     code = run("generate", "--out", str(out), *argv)

@@ -278,6 +278,18 @@ def test_load_rejects_a_view_count_other_than_eight(small_dataset, tmp_path):
     assert exc.value.offset == 16
 
 
+@pytest.mark.parametrize("g, side, offset", [(0, 0, 8), (1, 8, 8), (8, 0, 12)])
+def test_load_rejects_header_sizes_below_the_meta_bounds(tmp_path, g, side, offset):
+    meta = D.DatasetMeta(**{**SMALL, "train_count": 3, "grid_side": g, "image_side": side})
+    body = b"".join(D._sample_bytes(i, np.zeros(g ** 3), np.zeros((D.VIEW_COUNT, side, side)))
+                    for i in range(3))
+    bad = tmp_path / "sizes.sfds"
+    bad.write_bytes(D._header(meta, 0) + body)  # the length matches the header
+    with pytest.raises(FormatError, match="side") as exc:
+        D.load_dataset(bad)
+    assert exc.value.offset == offset
+
+
 @pytest.mark.parametrize("seed", [-1, 2 ** 64])
 def test_generate_rejects_a_seed_outside_u64_before_writing(tmp_path, seed):
     with pytest.raises(ContractError, match="data.seed"):

@@ -82,14 +82,6 @@ def test_minibatch_rejects_oversized_n(tiny_dataset):
 
 # ------------------------------------------------------------ optimizer_step
 
-def test_sgd_single_step():
-    params = M.ParamBundle(base={"w": Tensor(np.zeros(1), requires_grad=True)}, att={},
-                           cfg=None)
-    params.base["w"].grad = np.array([1.0])
-    TR.optimizer_step(params, "base", 0.1, TR.OptimizerState(), optimizer="sgd")
-    assert np.array_equal(params.base["w"].data, [-0.1])
-
-
 def test_step_on_empty_group_is_noop():
     params = tiny_model("mean")
     TR.optimizer_step(params, "att", 0.1, TR.OptimizerState())  # nothing to do
@@ -104,14 +96,12 @@ def test_step_requires_gradients():
 
 def _state_copy(state):
     return ({k: v.copy() for k, v in state.m.items()}, {k: v.copy() for k, v in state.v.items()},
-            dict(state.t), list(state.scratch))
+            state.t, list(state.scratch))
 
 
-@pytest.mark.parametrize("optimizer, fault", [("adam", "last_grad_missing"),
-                                              ("sgd", "last_grad_missing"),
-                                              ("adam", "last_grad_short"),
-                                              ("adagrad", None)])
-def test_refused_step_writes_nothing(optimizer, fault):
+@pytest.mark.parametrize("fault", ["last_grad_missing", "last_grad_short"],
+                         ids=["adam-last_grad_missing", "adam-last_grad_short"])
+def test_refused_step_writes_nothing(fault):
     rng = np.random.default_rng(12)
     params = tiny_model()
     for t in params.base.values():
@@ -123,10 +113,10 @@ def test_refused_step_writes_nothing(optimizer, fault):
     last = params.named("base")[-1][2]
     if fault == "last_grad_missing":
         last.grad = None
-    elif fault == "last_grad_short":
+    else:
         last.grad = last.grad[1:]
     with pytest.raises(ContractError):
-        TR.optimizer_step(params, "base", 1e-2, state, optimizer=optimizer)
+        TR.optimizer_step(params, "base", 1e-2, state)
     assert all(np.array_equal(t.data, data[k]) for k, t in params.base.items())
     m, v, steps, scratch = moments
     assert state.m.keys() == m.keys() and all(np.array_equal(state.m[k], m[k]) for k in m)
@@ -254,7 +244,7 @@ def test_stage2_leaves_base_undifferentiated_and_trainable(tiny_dataset):
 
 def test_stage_restores_requires_grad_after_overflow(tiny_dataset):
     params = tiny_model()
-    cfg = tiny_train_cfg(learning_rate=1e150, optimizer="sgd")
+    cfg = tiny_train_cfg(learning_rate=1e150)
     with pytest.raises(NumericOverflowError):
         TR.faset_stage1(params, tiny_dataset, cfg)
     assert all(t.requires_grad for _, _, t in params.named("all"))
