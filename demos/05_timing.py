@@ -6,8 +6,8 @@ runs the full default grid.
 
 from setfusion.bench import BenchConfig, run_bench
 
-cfg = BenchConfig(n_grid=(1, 8, 24), repeats=30, warmups=5,
-                  inner_loops=2, aggregators=("attsets_fc", "mean", "max", "gru"))
+cfg = BenchConfig(n_grid=(1, 8, 24), inner_loops=2,
+                  aggregators=("attsets_fc", "mean", "max", "gru"))
 report = run_bench(cfg)
 
 print(report.to_csv())

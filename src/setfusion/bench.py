@@ -30,20 +30,20 @@ from .model import ModelConfig, model_init, predict
 
 __all__ = ["BenchConfig", "BenchReport", "run_bench"]
 
+REPEATS = 30  # R, the timed rounds
+WARMUPS = 5  # untimed rounds before them
+
 
 @dataclass
 class BenchConfig:
     n_grid: tuple = (1, 4, 8, 12, 16, 20, 24)
-    repeats: int = 30
-    warmups: int = 5
     inner_loops: int = 4  # forwards per timed repetition; median is per-forward
     aggregators: tuple = AGGREGATOR_KINDS
     seed: int = 0
 
     def validate(self) -> None:
-        for key, least in (("repeats", 30), ("warmups", 5), ("inner_loops", 1)):
-            if getattr(self, key) < least:
-                raise ContractError(f"bench.{key} must be >= {least}, got {getattr(self, key)}")
+        if self.inner_loops < 1:
+            raise ContractError(f"bench.inner_loops must be >= 1, got {self.inner_loops}")
         grid = list(self.n_grid)
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])) or grid[0] < 1:
             raise ContractError(f"bench.n_grid must be non-empty, strictly increasing and >= 1, "
@@ -108,12 +108,12 @@ def run_bench(cfg: BenchConfig, model_cfg: ModelConfig | None = None) -> BenchRe
             cells.append((kind, n))
             fns += [lambda batch=batch, p=agg_params: aggregate(batch, p),
                     lambda views=views, p=pipe: predict(views, p)]
-    for _ in range(cfg.warmups):
+    for _ in range(WARMUPS):
         for fn in fns:
             fn()
     times = [[] for _ in fns]
     order = np.random.default_rng(cfg.seed)
-    for _ in range(cfg.repeats):
+    for _ in range(REPEATS):
         for i in order.permutation(len(fns)):
             times[i].append(_timed_ms(fns[i], cfg.inner_loops))
     medians = [float(np.median(t)) for t in times]
@@ -122,4 +122,4 @@ def run_bench(cfg: BenchConfig, model_cfg: ModelConfig | None = None) -> BenchRe
             for i, (kind, n) in enumerate(cells)]
     env = (f"python {platform.python_version()}, numpy {np.__version__}, "
            f"{platform.machine()}, single process")
-    return BenchReport(rows=rows, repeats=cfg.repeats, warmups=cfg.warmups, environment=env)
+    return BenchReport(rows=rows, repeats=REPEATS, warmups=WARMUPS, environment=env)

@@ -1,9 +1,9 @@
 """Command-line entry point.
 
-Subcommands: ``generate`` (dataset), ``train`` (two-stage / joint /
-finetune), ``eval`` (IoU sweep over view counts), ``bench`` (aggregator
-timings), ``selftest`` (invariant suite). Shared flags: ``--config``,
-repeatable ``--set section.key=value``, ``--out``, ``--seed``.
+Subcommands: ``generate`` (dataset), ``train`` (two-stage / joint),
+``eval`` (IoU sweep over view counts), ``bench`` (aggregator timings),
+``selftest`` (invariant suite). Shared flags: ``--config``, repeatable
+``--set section.key=value``, ``--out``, ``--seed``.
 
 Exit codes: 0 success, 1 contract or config error, 2 I/O or file-format
 error, 3 selftest failure, 4 numeric overflow in training.
@@ -37,7 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("generate", help="write the synthetic dataset"))
     train = sub.add_parser("train", help="train a model on a generated dataset")
     common(train)
-    train.add_argument("--mode", choices=("faset", "joint", "finetune"), default="faset")
+    train.add_argument("--mode", choices=("faset", "joint"), default="faset")
     common(sub.add_parser("eval", help="evaluate a checkpoint over view counts"))
     common(sub.add_parser("bench", help="time aggregators alone and in the pipeline"))
     selftest = sub.add_parser("selftest", help="run the invariant suite")
@@ -93,6 +93,7 @@ def _load_split(cfg, split: str):
 
 
 def cmd_train(args) -> int:
+    from .aggregators import ATTENTION_KINDS
     from .model import model_init, save_checkpoint
     from .training import schedule
 
@@ -102,7 +103,7 @@ def cmd_train(args) -> int:
     out_dir = _out_dir(cfg)
     trainset, _ = _load_split(cfg, "train")
     params = model_init(cfg.model)
-    if args.mode == "faset" and steps == schedule("finetune", kind, cfg.train.n_mode):
+    if args.mode == "faset" and kind not in ATTENTION_KINDS:
         print(f"note: aggregator {kind!r} has no separable attention stage; "
               f"stage 1 trains the whole network and stage 2 is routed to finetune")
     for tag, trainer in steps:

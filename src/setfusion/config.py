@@ -16,8 +16,8 @@ resolved config into the output directory; that echo (plus the seed)
 reproduces the run byte for byte, timing fields aside.
 
 A top-level ``--seed S`` derives section seeds (data=S, model=S+1,
-train=S+2, eval=S+3, bench=S+4) before ``--set`` overrides apply. The
-default seeds are what ``--seed 0`` derives.
+train=S+2, eval=S+3, bench=S+4, so S <= 2^64 - 5) before ``--set``
+overrides apply. The default seeds are what ``--seed 0`` derives.
 """
 
 from __future__ import annotations
@@ -153,6 +153,9 @@ def load_run_config(config_path: str | None = None, overrides: list[str] | None 
         _merge(sections, doc)
 
     if seed is not None:
+        top = 2 ** 64 - 1 - max(_SEED_OFFSETS.values())
+        if not 0 <= seed <= top:
+            raise ContractError(f"--seed must lie in [0, {top}], got {seed}")
         for section, off in _SEED_OFFSETS.items():
             sections[section]["seed"] = seed + off
 

@@ -51,7 +51,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError, FormatError, GenerationError
-from .metrics import best_threshold, iou
+from .metrics import _grid_search, best_threshold
 
 __all__ = [
     "ShapeSpec",
@@ -270,8 +270,7 @@ def _informativeness_report(meta, grids, first_views) -> dict:
     d2 = ((test_v ** 2).sum(1)[:, None] - 2.0 * test_v @ train_v.T
           + (train_v ** 2).sum(1)[None, :])
     nearest = d2.argmin(axis=1)
-    nn_iou = float(np.mean([
-        iou(train_gt[j], gt, 0.5) for j, gt in zip(nearest, test_gt)]))
+    _, nn_iou, _ = _grid_search([(train_gt[j], gt) for j, gt in zip(nearest, test_gt)], (0.5,))
     return {
         "constant_predictor_iou": const_iou,
         "constant_predictor_threshold": const_p,

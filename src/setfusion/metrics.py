@@ -9,7 +9,8 @@ The threshold is searched over the fixed 13-value grid 0.20..0.80 in steps
 of 0.05, independently per method and view count; ties break toward the
 lower threshold so the reported optimum is the smallest maximizer. An
 empty union (both grids empty) scores 1.0: total agreement on emptiness,
-which can only occur at extreme thresholds.
+which can only occur at extreme thresholds. ``_grid_search`` is the one
+count and search, and ``iou`` is that search at one threshold.
 
 Which views feed a sample during evaluation depends only on
 (seed, sample_id, N) -- never on the method under test -- so different
@@ -50,7 +51,6 @@ __all__ = [
 
 
 _THRESHOLDS = tuple(round(0.20 + 0.05 * i, 2) for i in range(13))
-_GRID = np.array(_THRESHOLDS)
 
 
 def default_thresholds() -> tuple[float, ...]:
@@ -73,29 +73,21 @@ class EvalConfig:
 
 def iou(pred, gt, p: float) -> float:
     """Intersection over union of ``pred`` binarized at ``p`` against a
-    binary ground-truth grid."""
+    binary ground-truth grid: ``_grid_search`` at the one threshold ``p``."""
     if not 0.0 < p < 1.0:
         raise ContractError(f"threshold must lie in (0, 1), got {p}")
-    hp = np.asarray(pred, dtype=np.float64).reshape(-1)
-    ht = np.asarray(gt).reshape(-1) > 0.5
-    if hp.size != ht.size:
-        raise ShapeError(f"grid sizes differ: {hp.size} vs {ht.size}")
-    binarized = hp > p
-    union = int(np.count_nonzero(binarized | ht))
-    if union == 0:
-        return 1.0
-    return int(np.count_nonzero(binarized & ht)) / union
+    return _grid_search([(pred, gt)], (p,))[1]
 
 
-def _grid_search(pairs) -> tuple[int, float, np.ndarray]:
-    """Index of the best grid threshold (the first maximum: the smallest
-    maximizer), the mean IoU there, and the [13, P] IoU of every pair at
-    every grid threshold.
+def _grid_search(pairs, thresholds=_THRESHOLDS) -> tuple[int, float, np.ndarray]:
+    """Index of the best threshold (the first maximum: on the ascending
+    grid, the smallest maximizer), the mean IoU there, and the [T, P] IoU
+    of every pair at every threshold, the 13-value grid by default.
 
-    All pairs share one grid size and are binarized at every grid
-    threshold in one [13, P, V] pass. The union is counted as
-    |truth| + |binarized| - |intersection|; the IoU values and their means
-    are bit-identical to calling ``iou`` per (pair, threshold).
+    The one place that binarizes and counts: all pairs share one grid size
+    and are binarized at every threshold in one [T, P, V] pass. The union
+    is |truth| + |binarized| - |intersection|, and each IoU the correctly
+    rounded quotient of two integer counts.
     """
     pairs = list(pairs)
     if not pairs:
@@ -106,7 +98,7 @@ def _grid_search(pairs) -> tuple[int, float, np.ndarray]:
     if len(sizes) != 1:
         raise ShapeError(f"grid sizes differ: {sizes}")
     truth = np.stack(truth) > 0.5
-    binarized = np.stack(probs)[None] > _GRID[:, None, None]
+    binarized = np.stack(probs)[None] > np.asarray(thresholds, dtype=np.float64)[:, None, None]
     positive = binarized.sum(axis=2, dtype=np.int32)
     binarized &= truth
     inter = binarized.sum(axis=2, dtype=np.int32)

@@ -349,13 +349,15 @@ def finetune(params: ParamBundle, dataset, cfg: TrainConfig) -> TrainReport:
 
 
 def schedule(mode: str, kind: str, n_mode: str) -> tuple:
-    """The ``(checkpoint tag, trainer)`` pairs ``setfusion train --mode``
-    runs, in order. FASet on an attention kind first checks that ``n_mode``
-    reaches stage 2. Trainers are looked up at call time, so a patched
-    module attribute is the one returned."""
+    """The ``(checkpoint tag, trainer)`` pairs of ``train --mode`` ``faset``
+    or ``joint``, in order; any other mode raises. FASet on an attention
+    kind first checks that ``n_mode`` reaches stage 2. Trainers are looked
+    up at call time, so a patched module attribute is the one returned."""
     if mode == "joint":
         return (("joint", joint_train),)
-    if mode == "faset" and kind in ATTENTION_KINDS:
+    if mode != "faset":
+        raise ContractError(f"unknown training mode {mode!r}; expected faset or joint")
+    if kind in ATTENTION_KINDS:
         _check_stage2_reachable(n_mode)
         return (("stage1", faset_stage1), ("stage2", faset_stage2))
     return (("stage1", single_view_train), ("stage2", finetune))

@@ -312,8 +312,7 @@ def test_criterion_10_iou_oracle_and_threshold_rule():
 
 
 def test_criterion_11_timing_trends():
-    bench_cfg = B.BenchConfig(n_grid=(1, 4, 8, 12, 16, 20, 24),
-                              repeats=30, warmups=5, inner_loops=2,
+    bench_cfg = B.BenchConfig(n_grid=(1, 4, 8, 12, 16, 20, 24), inner_loops=2,
                               aggregators=("attsets_fc", "mean", "gru"), seed=24)
     rep = B.run_bench(bench_cfg)
     gru = [rep.cell("gru", n)["agg_only_ms"] for n in bench_cfg.n_grid]

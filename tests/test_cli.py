@@ -106,6 +106,13 @@ def test_train_pooling_routes_stage2_to_finetune(tmp_path, capsys):
     assert (tmp_path / "stage2.sfck").exists()
 
 
+def test_train_finetune_is_not_a_mode(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert tiny_run("train", out, "--mode", "finetune") == 1
+    assert "--mode" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_joint_mode(tmp_path):
     assert tiny_run("generate", tmp_path) == 0
     assert tiny_run("train", tmp_path, "--mode", "joint") == 0
@@ -298,8 +305,8 @@ def test_section_defaults_are_the_dataclass_fields(section, cls, seed):
     assert built == dataclasses.replace(cls(), seed=seed)
 
 
-def test_config_has_twenty_nine_keys_and_no_model_sides():
-    assert sum(len(body) for body in DEFAULTS.values()) == 29
+def test_config_has_twenty_seven_keys_and_no_model_sides():
+    assert sum(len(body) for body in DEFAULTS.values()) == 27
     assert not {"grid_side", "image_side"} & set(DEFAULTS["model"])
 
 
@@ -357,7 +364,7 @@ def test_config_file_with_unknown_key(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv,named", [
     (["--set", "data.seed=-1"], "data.seed"),
-    (["--seed", "18446744073709551616"], "data.seed"),
+    (["--set", "data.seed=18446744073709551616"], "data.seed"),
     (["--set", "model.seed=-1"], "model.seed"),
     (["--set", "train.seed=-1"], "train.seed"),
     (["--set", "eval.seed=-1"], "eval.seed"),
@@ -387,7 +394,11 @@ def test_config_file_with_unknown_key(tmp_path, capsys):
     (["--set", "bench.warmups=4"], "bench.warmups"),
     (["--set", "bench.n_grid=[]"], "bench.n_grid"),
     (["--set", 'bench.aggregators=["bogus"]'], "bench.aggregators"),
-    (["--config", "optimizer.json"], "train.optimizer")])
+    (["--config", "optimizer.json"], "train.optimizer"),
+    # --seed S derives S..S+4, so S itself lies in [0, 2**64 - 5]
+    (["--seed", "-1"], "--seed"),
+    (["--seed", str(2 ** 64 - 4)], "--seed"),
+    (["--seed", str(2 ** 64)], "--seed")])
 def test_invalid_config_is_rejected_before_any_file(tmp_path, capsys, argv, named):
     (tmp_path / "latin1.json").write_bytes('{"data": {"seed": "\xe9"}}'.encode("latin-1"))
     # an echo written while train.optimizer was still a key
@@ -413,6 +424,12 @@ def test_resolved_config_echo_reproduces_run(trained_run, tmp_path):
     for split in ("train", "test"):
         assert ((out / "dataset" / split).with_suffix(".sfds").read_bytes()
                 == (trained_run / "dataset" / split).with_suffix(".sfds").read_bytes())
+
+
+def test_largest_seed_loads():
+    cfg = load_run_config(seed=2 ** 64 - 5)
+    assert cfg.sections["data"]["seed"] == 2 ** 64 - 5
+    assert cfg.sections["bench"]["seed"] == 2 ** 64 - 1
 
 
 def test_seed_derives_section_seeds(tmp_path):
@@ -479,9 +496,14 @@ def test_run_bench_sets_max_views_from_its_grid():
     assert [row["n"] for row in run_bench(cfg, model_cfg=model_cfg).rows] == [1, 3]
 
 
-def test_bench_rejects_thin_sampling(tmp_path):
-    assert run("bench", "--out", str(tmp_path),
-               "--set", "bench.repeats=5") == 1
+def test_bench_sampling_is_not_a_key(tmp_path, capsys):
+    assert run("bench", "--out", str(tmp_path / "o"), "--set", "bench.repeats=5") == 1
+    assert "unknown config key 'bench.repeats'" in capsys.readouterr().err
+    # an echo written while bench.repeats was still a key
+    (tmp_path / "old.json").write_text('{"bench": {"repeats": 30}}')
+    assert run("bench", "--config", str(tmp_path / "old.json"), "--out", str(tmp_path / "o")) == 1
+    assert "unknown config key 'bench.repeats'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("grid", ["[]", "[0]", "[4,2]"])

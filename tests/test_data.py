@@ -362,6 +362,34 @@ def test_report_has_informativeness_probe(small_dataset):
     assert "constant_predictor_threshold" in report
 
 
+def test_report_ious_equal_a_per_pair_iou_loop(tmp_path):
+    """The report's IoU figures, recounted one (pair, threshold) at a time
+    with ``metrics.iou``: the constant predictor at the grid's smallest
+    maximizer, the nearest neighbour at 0.5, means by ``np.mean``."""
+    from setfusion.metrics import default_thresholds, iou
+
+    report = D.generate_dataset(D.DatasetMeta(train_count=30, test_count=12, grid_side=8,
+                                              image_side=8, seed=7), tmp_path)
+    train, _ = D.load_dataset(tmp_path / "train.sfds")
+    test, _ = D.load_dataset(tmp_path / "test.sfds")
+    train_gt = np.stack([s.gt for s in train]).astype(np.float64)
+    freq = train_gt.mean(axis=0)
+    best_p, best = None, -1.0
+    for p in default_thresholds():
+        mean = float(np.mean([iou(freq, s.gt, p) for s in test]))
+        if mean > best:
+            best_p, best = p, mean
+    assert report["constant_predictor_threshold"] == best_p
+    assert report["constant_predictor_iou"] == best
+
+    train_v = np.stack([s.views[0].reshape(-1) for s in train])
+    nn_iou = []
+    for s in test:
+        j = int(((train_v - s.views[0].reshape(-1)) ** 2).sum(axis=1).argmin())
+        nn_iou.append(iou(train_gt[j], s.gt, 0.5))
+    assert report["single_view_nn_iou"] == float(np.mean(nn_iou))
+
+
 def test_load_fuzz_raises_only_format_error(small_dataset, tmp_path):
     """Seeded single-byte flips either load or raise FormatError; every
     strict prefix of the file raises FormatError."""

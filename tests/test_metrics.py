@@ -54,13 +54,16 @@ def test_iou_shape_mismatch():
 
 
 def test_iou_matches_naive_enumeration():
+    """At grid thresholds, at uniform draws in (0, 1) and at a threshold
+    equal to one of the probabilities, where the strict ``>`` decides."""
     rng = np.random.default_rng(0)
-    for _ in range(200):
+    for i in range(300):
         n = int(rng.integers(1, 65))
         probs = rng.uniform(0, 1, n)
         gt = rng.integers(0, 2, n).astype(np.uint8)
-        p = float(rng.choice(E.default_thresholds()))
-        assert E.iou(probs, gt, p) == naive_iou(probs, gt, p)
+        p = float([rng.choice(E.default_thresholds()), rng.uniform(0, 1),
+                   rng.choice(probs)][i % 3])
+        assert E.iou(probs, gt, p) == naive_iou(probs, gt, p), (i, p)
 
 
 # ------------------------------------------------------------------ config

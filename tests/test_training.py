@@ -412,6 +412,10 @@ def test_a_bundle_without_a_config_is_refused(tiny_dataset, tmp_path, trainer):
 @pytest.mark.parametrize("kind", AGGREGATOR_KINDS)
 @pytest.mark.parametrize("mode", ["faset", "joint", "finetune"])
 def test_schedule_picks_the_trainers(mode, kind):
+    if mode == "finetune":  # no longer a mode: no schedule falls through to it
+        with pytest.raises(ContractError, match="'finetune'"):
+            TR.schedule(mode, kind, "fixed:8")
+        return
     if mode == "joint":
         expected = [("joint", TR.joint_train)]
     elif mode == "faset" and kind in ("attsets_fc", "attsets_conv", "attsets_elem"):
