@@ -30,13 +30,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from . import model
 from .aggregators import SetBatch
 from .errors import ContractError, ShapeError
-from .tensor import Tensor
+from .tensor import Tensor, share_cuts, side_by_side
 
 __all__ = [
     "EvalConfig",
@@ -79,6 +80,11 @@ def iou(pred, gt, p: float) -> float:
     return _grid_search([(pred, gt)], (p,))[1]
 
 
+# _grid_search counts its thresholds in shares (tensor.share_cuts) of at
+# least this many voxel comparisons, so a share's work outweighs its handoff.
+COUNT_SHARE_FLOOR = 2**18
+
+
 def _grid_search(pairs, thresholds=_THRESHOLDS) -> tuple[int, float, np.ndarray]:
     """Index of the best threshold (the first maximum: on the ascending
     grid, the smallest maximizer), the mean IoU there, and the [T, P] IoU
@@ -87,7 +93,11 @@ def _grid_search(pairs, thresholds=_THRESHOLDS) -> tuple[int, float, np.ndarray]
     The one place that binarizes and counts: all pairs share one grid size
     and are binarized at every threshold in one [T, P, V] pass. The union
     is |truth| + |binarized| - |intersection|, and each IoU the correctly
-    rounded quotient of two integer counts.
+    rounded quotient of two integer counts. The thresholds are cut into
+    shares by ``tensor.share_cuts`` and run side by side; each share
+    binarizes and counts its own thresholds into its rows of the count
+    arrays and the [T, P, V] scratch buffer, all allocated here, so the
+    counts, being integers, cannot depend on the CPU count.
     """
     pairs = list(pairs)
     if not pairs:
@@ -98,10 +108,21 @@ def _grid_search(pairs, thresholds=_THRESHOLDS) -> tuple[int, float, np.ndarray]
     if len(sizes) != 1:
         raise ShapeError(f"grid sizes differ: {sizes}")
     truth = np.stack(truth) > 0.5
-    binarized = np.stack(probs)[None] > np.asarray(thresholds, dtype=np.float64)[:, None, None]
-    positive = binarized.sum(axis=2, dtype=np.int32)
-    binarized &= truth
-    inter = binarized.sum(axis=2, dtype=np.int32)
+    probs = np.stack(probs)
+    thresholds = np.asarray(thresholds, dtype=np.float64)[:, None, None]
+    binarized = np.empty((thresholds.shape[0],) + probs.shape, dtype=bool)
+    positive = np.empty(binarized.shape[:2], dtype=np.int32)
+    inter = np.empty(binarized.shape[:2], dtype=np.int32)
+
+    def count(lo, hi):
+        b = binarized[lo:hi]
+        np.greater(probs, thresholds[lo:hi], out=b)
+        b.sum(axis=2, dtype=np.int32, out=positive[lo:hi])
+        b &= truth
+        b.sum(axis=2, dtype=np.int32, out=inter[lo:hi])
+
+    cuts = share_cuts(binarized.shape[0], binarized.size, COUNT_SHARE_FLOOR)
+    side_by_side([partial(count, lo, hi) for lo, hi in zip(cuts, cuts[1:])])
     union = truth.sum(axis=1, dtype=np.int32) + positive - inter
     ious = np.divide(inter, union, out=np.ones(union.shape), where=union > 0)
     means = ious.mean(axis=1)

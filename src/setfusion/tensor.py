@@ -30,11 +30,20 @@ rest of the package leans on:
   with one thread per usable CPU that the BLAS leaves free. With the BLAS
   on one thread (``OPENBLAS_NUM_THREADS=1``, as the benchmark runs) that
   is every CPU beyond the first. With the BLAS on every CPU, its default,
-  it is none, and the calls run in turn on the caller. A matmul whose two
-  inputs both need a gradient forms ``g @ b.T`` on the caller and
-  ``a.T @ g`` on a worker, into an array the caller allocated; training's
-  Adam runs its per-CPU shares through it. Each product is still one BLAS
-  call and each array is written by one thread, so no bit depends on the
+  it is none, and the calls run in turn on the caller. ``share_cuts`` is
+  the one rule that cuts work into its shares: one share per CPU it uses,
+  or fewer, so that each share keeps a floor of work. A large product in
+  ``matmul`` (forward, or a backward that needs one of its two products)
+  splits its output's columns into shares of at least
+  ``MATMUL_SHARE_FLOOR`` multiply-adds at multiples of
+  ``MATMUL_SHARE_ALIGN`` columns, each share one BLAS call that writes its
+  column slice of an output the caller allocated; below either rule the
+  BLAS's small-matrix path or its edge kernels can sum a column in another
+  order, so the product stays one call. A matmul whose two inputs both
+  need a gradient forms ``g @ b.T`` on the caller and ``a.T @ g`` on a
+  worker, into an array the caller allocated. Training's Adam and the
+  threshold search's counts cut their shares with ``share_cuts`` too.
+  Every array or slice is written by one thread, so no bit depends on the
   CPU count.
 * ``set_sum`` / ``set_max`` reduce over the leading axis in a canonical
   (value-sorted) accumulation order, which makes reductions over an
@@ -70,6 +79,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
+from functools import partial
 from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
@@ -96,6 +106,7 @@ __all__ = [
     "bce_loss",
     "finite_diff_grad",
     "side_by_side",
+    "share_cuts",
 ]
 
 
@@ -310,6 +321,48 @@ def side_by_side(calls: Sequence[Callable[[], object]]) -> list:
     return [first] + [f.result() for f in futures]
 
 
+def share_cuts(n: int, work: int, floor: int, align: int = 1) -> list[int]:
+    """Cuts ``0 = c[0] < ... < c[k] = n`` of ``n`` items that carry ``work``
+    evenly into ``k`` contiguous shares for ``side_by_side``: one per CPU it
+    uses (``1 + CPU_WORKERS``), or fewer, so that every share carries at
+    least ``floor`` of the work. Every cut, ``n`` included, is a multiple of
+    ``align``; where ``n`` is not, or one share cannot reach the floor, the
+    one share is ``[0, n]``."""
+    units = n // align
+    if n % align or work < 1:
+        return [0, n]
+    need = -(-floor * n // (work * align))  # units a share needs to reach the floor
+    k = max(1, min(1 + CPU_WORKERS, units // max(1, need)))
+    return [align * (units * i // k) for i in range(k)] + [n]
+
+
+# A product splits its output's columns only into shares of at least this
+# many multiply-adds, at multiples of this many columns (the last column
+# included). Below the floor the BLAS's small-matrix path, and off the
+# alignment its edge kernels, can sum a column in another order than the
+# one-call product does ([16,512] @ [512,128] in halves, or [16,512] @
+# [512,4096] cut at 1365 and 2730, lost bit equality with scipy-openblas
+# 0.3.31); at and above both, every split of the default model's products
+# kept the one call's bytes.
+MATMUL_SHARE_FLOOR = 2**20
+MATMUL_SHARE_ALIGN = 8
+
+
+def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x @ y`` of two matrices, its columns cut by ``share_cuts`` and run
+    side by side, each share one BLAS call into its slice of an output
+    allocated here (a pool thread allocates from a malloc arena of its own,
+    which raised peak RSS)."""
+    m, k = x.shape
+    cuts = share_cuts(y.shape[1], m * k * y.shape[1], MATMUL_SHARE_FLOOR, MATMUL_SHARE_ALIGN)
+    if len(cuts) == 2:
+        return x @ y
+    out = np.empty((m, y.shape[1]))
+    side_by_side([partial(np.matmul, x, y[:, lo:hi], out=out[:, lo:hi])
+                  for lo, hi in zip(cuts, cuts[1:])])
+    return out
+
+
 def _matmul(name: str, product: Callable, a: Tensor, b: Tensor) -> Tensor:
     """``product(a, b)`` of a [M,K] by a [K,P] tensor, as op ``name``."""
     if a.data.ndim != 2 or b.data.ndim != 2:
@@ -319,20 +372,20 @@ def _matmul(name: str, product: Callable, a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g, need):
         if need[0] and need[1]:
-            # The two products side by side. The worker's output is allocated
-            # here: a pool thread allocates from a malloc arena of its own,
-            # which raised peak RSS.
+            # The two products side by side, each one call. The worker's
+            # output is allocated here, as in _product.
             gb = np.empty((a.shape[1], g.shape[1]))
             return tuple(side_by_side((lambda: g @ b.data.T,
                                        lambda: np.matmul(a.data.T, g, out=gb))))
-        return (g @ b.data.T if need[0] else None, a.data.T @ g if need[1] else None)
+        return (_product(g, b.data.T) if need[0] else None,
+                _product(a.data.T, g) if need[1] else None)
 
     return _op(name, product(a.data, b.data), (a, b), bwd)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of a [M,K] by a [K,P] tensor."""
-    return _matmul("matmul", np.matmul, a, b)
+    return _matmul("matmul", _product, a, b)
 
 
 def matmul_rows(a: Tensor, b: Tensor) -> Tensor:

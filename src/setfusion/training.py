@@ -50,13 +50,14 @@ are drawn from a counter-based generator keyed by (seed, step), and
 optimizer state is reset at stage boundaries.
 
 ``optimizer_step`` checks the whole group before it writes anything. Adam
-then splits the group's ``ADAM_BLOCK``-element blocks into one contiguous
-share per CPU that ``tensor.side_by_side`` uses (the caller's and each
-free one) and runs the shares side by side, each with its own scratch
-buffer. Each block is written by one thread with the same elementwise
-ops, so the bits do not depend on the CPU count. At the default latent
-width, stage 2's attention group is a single block and runs on the
-calling thread alone.
+then cuts the group's ``ADAM_BLOCK``-element blocks into contiguous
+shares by ``tensor.share_cuts``, one per CPU that ``tensor.side_by_side``
+uses (the caller's and each free one) or fewer, each of at least
+``ADAM_SHARE_FLOOR`` elements, and runs the shares side by side, each with
+its own scratch buffer. Each block is written by one thread with the same
+elementwise ops, so the bits do not depend on the CPU count. At the
+default widths only the base group is large enough to split; stage 2's
+attention group and the GRU's run on the calling thread alone.
 """
 
 from __future__ import annotations
@@ -98,6 +99,12 @@ ADAM_EPS = 1e-8
 # blocks with a scratch buffer of its own, so no block is split between
 # threads.
 ADAM_BLOCK = 16384
+# A group splits into shares (tensor.share_cuts) of at least this many
+# elements, counted at the group's mean block size. Below it the handoff
+# costs more than a share saves: the GRU's 98,688-element group (9 blocks)
+# ran slower as 2 shares than on one thread, so it now stays on the caller,
+# while the 2.27M-element base group still splits.
+ADAM_SHARE_FLOOR = 2**18
 
 
 @dataclass
@@ -201,11 +208,11 @@ def optimizer_step(params: ParamBundle, group: str, lr: float, state: OptimizerS
     Every tensor's gradient is checked before anything is written, so a
     refused step leaves the tensors and ``state`` as they were. Adam runs
     allocation-free over ``ADAM_BLOCK``-element blocks of each tensor's flat
-    views. The group's blocks are split into one contiguous share per CPU
-    that ``tensor.side_by_side`` uses, run side by side, each share with its
-    own scratch buffer. Every op is elementwise and each block is written by
-    one thread, so neither the blocking nor the split can change a bit of
-    the result.
+    views. The group's blocks are cut by ``tensor.share_cuts`` into
+    contiguous shares of at least ``ADAM_SHARE_FLOOR`` elements, run side
+    by side, each share with its own scratch buffer. Every op is
+    elementwise and each block is written by one thread, so neither the
+    blocking nor the split can change a bit of the result.
     """
     named = params.named(group)
     for name, _, tensor in named:
@@ -232,12 +239,12 @@ def optimizer_step(params: ParamBundle, group: str, lr: float, state: OptimizerS
         for lo in range(0, g.size, ADAM_BLOCK):
             hi = lo + ADAM_BLOCK
             blocks.append((g[lo:hi], m[lo:hi], v[lo:hi], data[lo:hi]))
-    shares = min(1 + T.CPU_WORKERS, len(blocks))
-    while len(state.scratch) < shares:
+    cuts = T.share_cuts(len(blocks), sum(tensor.size for _, _, tensor in named),
+                        ADAM_SHARE_FLOOR)
+    while len(state.scratch) < len(cuts) - 1:
         state.scratch.append(np.empty(ADAM_BLOCK))
-    T.side_by_side([partial(_adam_blocks, blocks[len(blocks) * k // shares:
-                                                 len(blocks) * (k + 1) // shares],
-                            state.scratch[k], bc2, step_size) for k in range(shares)])
+    T.side_by_side([partial(_adam_blocks, blocks[lo:hi], scratch, bc2, step_size)
+                    for lo, hi, scratch in zip(cuts, cuts[1:], state.scratch)])
 
 
 def _adam_blocks(blocks: list, scratch: np.ndarray, bc2: float, step_size: float) -> None:

@@ -1,8 +1,9 @@
 """Pin the BLAS to one thread before numpy loads, as the benchmark does.
 
-Adam's shares and a matmul's two backward products then run side by side
-on the CPUs the BLAS leaves free (``tensor.side_by_side``), so the
-full-scale runs of the acceptance and golden-bits tests take that path. A
+Adam's shares, the shares of a large product and of the threshold counts,
+and a matmul's two backward products then run side by side on the CPUs
+the BLAS leaves free (``tensor.side_by_side``), so the full-scale runs of
+the acceptance and golden-bits tests take those paths. A
 thread count already set in the environment is kept.
 """
 

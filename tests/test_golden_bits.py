@@ -26,11 +26,12 @@ from pathlib import Path
 
 import numpy as np
 
+from setfusion import tensor
 from setfusion.aggregators import AGGREGATOR_KINDS
 from setfusion.data import DatasetMeta, generate_dataset, load_dataset
 from setfusion.metrics import EvalConfig, eval_sweep
 from setfusion.model import ModelConfig, model_init, predict
-from setfusion.training import TrainConfig, schedule
+from setfusion.training import TrainConfig, faset_stage1, faset_stage2, joint_train, schedule
 
 GOLDEN = Path(__file__).with_name("golden_bits.json")
 META = DatasetMeta(train_count=8, test_count=4, grid_side=8, image_side=8, seed=11)
@@ -89,6 +90,38 @@ def test_bits_match_the_golden_record(tmp_path):
         assert run == golden["runs"][name], (
             f"{name} differs from {GOLDEN.name}, recorded with {golden['build']} "
             f"(this build: {_build()})")
+
+
+def _full_scale_bits(trainset, testset) -> list:
+    """Losses, checksums, an eval report and a predict of the default model,
+    whose decoder and encoder products, threshold counts and base-group
+    Adam are large enough to run in shares."""
+    train_cfg = TrainConfig(batch_size=16, stage1_steps=2, stage2_steps=2, n_mode="fixed:8",
+                            seed=3)
+    out = []
+    for trainers in ((faset_stage1, faset_stage2), (joint_train,)):
+        params = model_init(ModelConfig())
+        for trainer in trainers:
+            report = trainer(params, trainset, train_cfg)
+            out.append(([x.hex() for x in report.losses], report.base_checksum,
+                        report.att_checksum))
+        grid, attn = predict(testset[0].views[[0, 3, 6]], params)
+        out.append((eval_sweep(params, testset, EvalConfig(view_counts=(1, 8), seed=5)).to_json(),
+                     grid.probs.data.tobytes(), attn.scores.data.tobytes()))
+    return out
+
+
+def test_full_scale_bits_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch):
+    # The record's tiny model never reaches a share floor, so this pins the
+    # split paths on the default model instead.
+    generate_dataset(DatasetMeta(train_count=32, test_count=16, seed=12), tmp_path)
+    trainset, _ = load_dataset(tmp_path / "train.sfds")
+    testset, _ = load_dataset(tmp_path / "test.sfds")
+    bits = {}
+    for workers in (0, 1):
+        monkeypatch.setattr(tensor, "CPU_WORKERS", workers)
+        bits[workers] = _full_scale_bits(trainset, testset)
+    assert bits[1] == bits[0]
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@ import pytest
 from setfusion import data as D
 from setfusion import metrics as E
 from setfusion import model as M
+from setfusion import tensor as T
 from setfusion.aggregators import AGGREGATOR_KINDS
 from setfusion.errors import ContractError, ShapeError
 
@@ -197,6 +198,34 @@ def test_best_threshold_matches_per_pair_iou_loop():
     pairs = [(probs, gt), (rng.uniform(size=64), gt)]
     assert E.best_threshold([(probs, gt)]) == (0.20, 1.0)
     assert E.best_threshold(pairs) == _best_threshold_by_loop(pairs)
+
+
+def _search_bytes(pairs, thresholds):
+    k, mean_iou, ious = E._grid_search(pairs, thresholds)
+    return k, mean_iou.hex(), ious.tobytes()
+
+
+@pytest.mark.parametrize("floor", [1, E.COUNT_SHARE_FLOOR], ids=["every-threshold", "default"])
+def test_count_shares_keep_their_bytes(monkeypatch, floor):
+    monkeypatch.setattr(E, "COUNT_SHARE_FLOOR", floor)
+    rng = np.random.default_rng(23)
+    probs = rng.uniform(size=(128, 4096))  # eval's 128 samples on the default 16^3 grid
+    probs[:, :64] = 0.5  # ties with a threshold: strictly greater binarizes them to 0
+    probs[3] = 0.1  # a pair whose union is empty at every threshold above 0.1
+    gt = rng.uniform(size=(128, 4096)) < rng.uniform(0.02, 0.5, size=(128, 1))
+    gt[3] = False
+    pairs = list(zip(probs, gt))
+    cases = [(pairs, E.default_thresholds()),  # 13: neither 2 nor 3 shares divide it evenly
+             (pairs, E.default_thresholds()[:7]),
+             (pairs[:1], E.default_thresholds()),  # a single pair
+             (pairs[:1], (0.5,))]  # iou's single-threshold call
+    monkeypatch.setattr(T, "CPU_WORKERS", 0)
+    want = [_search_bytes(*case) for case in cases]
+    one = E.iou(*pairs[0], 0.5)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(T, "CPU_WORKERS", workers)
+        assert [_search_bytes(*case) for case in cases] == want, workers
+        assert E.iou(*pairs[0], 0.5).hex() == one.hex()
 
 
 def test_threshold_search_empty_testset(tiny_world):

@@ -381,6 +381,66 @@ def test_matmul_backward_pieces_equal_the_plain_products(monkeypatch, workers):
                 assert b.grad.tobytes() == (a_data.T @ g).tobytes()
 
 
+# Every product shape of the default model (16x16 views, encoder 256, latent
+# 128, decoder 512, 16^3 grid) as (rows, inner, columns): the decoder's two
+# layers at the batch sizes of predict, training, and eval's 80- and
+# 128-sample batches, and the encoder's two layers over 1024 view rows.
+MODEL_PRODUCTS = ([(b, k, p) for b in (1, 16, 80, 128) for k, p in ((128, 512), (512, 4096))]
+                  + [(1024, 256, 256), (1024, 256, 128)])
+
+
+@pytest.mark.parametrize("workers", [0, 1, 2, 3])
+def test_split_products_keep_their_bytes(monkeypatch, workers):
+    monkeypatch.setattr(T, "CPU_WORKERS", workers)
+    rng = np.random.default_rng(21)
+    for m, k, p in MODEL_PRODUCTS:
+        x, w, g = (rng.standard_normal(s) for s in ((m, k), (k, p), (m, p)))
+        assert T.matmul(T.Tensor(x), T.Tensor(w)).data.tobytes() == (x @ w).tobytes(), (m, k, p)
+        for x_needs in (True, False):  # a backward that forms g @ w.T (F-ordered) or x.T @ g alone
+            a, b = T.Tensor(x, requires_grad=x_needs), T.Tensor(w, requires_grad=not x_needs)
+            with T.Tape() as tape:
+                y = T.ew_binary("mul", T.matmul(a, b), T.Tensor(g))
+                tape.backward(T.reduce_sum(T.reduce_sum(y, 1), 0))
+            if x_needs:
+                assert a.grad.tobytes() == (g @ w.T).tobytes(), (m, k, p)
+            else:
+                assert b.grad.tobytes() == (x.T @ g).tobytes(), (m, k, p)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("m, k, p, f_ordered", [
+    (16, 512, 128, True),  # dec_w1.T in stage 2's backward: halves fall below the floor
+    (1425, 53, 217, False),  # 217 columns: no cut keeps every share on a multiple of 8
+])
+def test_a_product_off_the_split_rules_stays_one_call(monkeypatch, workers, m, k, p, f_ordered):
+    monkeypatch.setattr(T, "CPU_WORKERS", workers)
+    rng = np.random.default_rng(22)
+    x = rng.standard_normal((m, k))
+    y = rng.standard_normal((p, k)).T if f_ordered else rng.standard_normal((k, p))
+    calls = []
+    monkeypatch.setattr(T, "side_by_side", lambda fns: calls.append(len(fns)))
+    assert T.matmul(T.Tensor(x), T.Tensor(y)).data.tobytes() == (x @ y).tobytes()
+    assert calls == []
+
+
+@pytest.mark.parametrize("workers, n, work, floor, align, cuts", [
+    (0, 4096, 2**25, 2**20, 8, [0, 4096]),  # no worker: one share
+    (1, 4096, 2**25, 2**20, 8, [0, 2048, 4096]),
+    (2, 4096, 2**25, 2**20, 8, [0, 1360, 2728, 4096]),  # 3 shares cut at multiples of 8, not 1365
+    (3, 4096, 2**21, 2**20, 8, [0, 2048, 4096]),  # predict's [1,512] @ [512,4096]: 2 at most
+    (3, 128, 2**20, 2**20, 8, [0, 128]),  # [16,512] @ [512,128]: a half would fall below the floor
+    (3, 4095, 2**25, 2**20, 8, [0, 4095]),  # the last column off a multiple of 8
+    (2, 13, 13 * 2**19, 2**18, 1, [0, 4, 8, 13]),  # 13 thresholds in 3 uneven shares
+    (3, 13, 13 * 2**12, 2**18, 1, [0, 13]),
+    (1, 9, 98688, 2**18, 1, [0, 9]),  # the GRU's 9 Adam blocks
+    (1, 0, 0, 2**18, 1, [0, 0]),
+])
+def test_share_cuts_keep_the_floor_and_the_alignment(monkeypatch, workers, n, work, floor, align,
+                                                    cuts):
+    monkeypatch.setattr(T, "CPU_WORKERS", workers)
+    assert T.share_cuts(n, work, floor, align) == cuts
+
+
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
                     "OMP_NUM_THREADS")
 

@@ -137,16 +137,32 @@ def _adam_unblocked(data, g, m, v, t, lr):
 
 
 def test_blocked_adam_matches_unblocked_formula():
-    _check_adam_against_unblocked(T.CPU_WORKERS)  # this host's share count
+    _check_adam_against_unblocked(1)  # 7 blocks, below the share floor on any host
 
 
 @pytest.mark.parametrize("workers", [0, 2], ids=["1-share", "3-shares"])
 def test_adam_shares_match_unblocked_formula(monkeypatch, workers):
     monkeypatch.setattr(T, "CPU_WORKERS", workers)
-    _check_adam_against_unblocked(workers)
+    monkeypatch.setattr(TR, "ADAM_SHARE_FLOOR", 1)  # so that every block may be a share
+    _check_adam_against_unblocked(1 + workers)
 
 
-def _check_adam_against_unblocked(workers):
+@pytest.mark.parametrize("workers", [1, 3])
+def test_only_a_group_above_the_share_floor_splits(monkeypatch, workers):
+    monkeypatch.setattr(T, "CPU_WORKERS", workers)
+    params = M.model_init(M.ModelConfig(aggregator_kind="gru"))
+    shares = {}
+    for group, size in (("base", 2265984), ("att", 98688)):
+        for _, _, t in params.named(group):
+            t.grad = np.zeros(t.size)
+        state = TR.OptimizerState()
+        TR.optimizer_step(params, group, 1e-3, state)
+        assert sum(t.size for _, _, t in params.named(group)) == size
+        shares[group] = len(state.scratch)
+    assert shares == {"base": 1 + workers, "att": 1}
+
+
+def _check_adam_against_unblocked(shares):
     rng = np.random.default_rng(11)
     block = TR.ADAM_BLOCK
     shapes = {"small": (7, 3), "one_block": (block,), "two_blocks": (2, block),
@@ -164,11 +180,12 @@ def _check_adam_against_unblocked(workers):
         TR.optimizer_step(params, "base", 1e-2, state)
         for name, t in params.base.items():
             assert np.array_equal(t.data, want[name]), (name, step)
-    assert len(state.scratch) == 1 + workers  # 7 blocks, so every share has one
+    assert len(state.scratch) == shares
 
 
 def test_an_error_in_a_worker_share_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(T, "CPU_WORKERS", 2)
+    monkeypatch.setattr(TR, "ADAM_SHARE_FLOOR", 1)
     rng = np.random.default_rng(13)
     params = M.ParamBundle(base={k: Tensor(rng.standard_normal(TR.ADAM_BLOCK), requires_grad=True)
                                  for k in "abcde"}, att={}, cfg=None)
