@@ -52,6 +52,7 @@ import numpy as np
 
 from .errors import ContractError, FormatError, GenerationError
 from .metrics import _grid_search, best_threshold
+from .model import _replacing
 
 __all__ = [
     "ShapeSpec",
@@ -221,7 +222,9 @@ def _header(meta: DatasetMeta, split: int) -> bytes:
 
 def generate_dataset(meta: DatasetMeta, out_dir) -> dict:
     """Write ``train.sfds`` and ``test.sfds`` plus a JSON generation report;
-    byte-identical for identical meta."""
+    byte-identical for identical meta. Each file is written under a
+    temporary name and then replaces its final name, so an interrupted run
+    leaves no half-written file there."""
     meta.validate()
     out_dir = Path(out_dir)
     try:
@@ -236,7 +239,7 @@ def generate_dataset(meta: DatasetMeta, out_dir) -> dict:
     paths = {}
     for split_idx, split in enumerate(("train", "test")):
         path = out_dir / f"{split}.sfds"
-        with open(path, "wb") as f:
+        with _replacing(path) as f:
             f.write(_header(meta, split_idx))
             for i in range(counts[split]):
                 sample_id = offsets[split] + i
@@ -252,7 +255,8 @@ def generate_dataset(meta: DatasetMeta, out_dir) -> dict:
     report["meta"] = {k: v for k, v in vars(meta).items() if k != "split"}
     report["meta"].update(version=DATASET_VERSION, view_count=VIEW_COUNT)
     report_path = out_dir / "dataset_report.json"
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    with _replacing(report_path) as f:
+        f.write((json.dumps(report, indent=2, sort_keys=True) + "\n").encode())
     report["report_path"] = str(report_path)
     return report
 

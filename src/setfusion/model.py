@@ -28,7 +28,9 @@ import hashlib
 import math
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -223,13 +225,32 @@ _MAX_RANK = 32
 _TAG_GROUPS = {v: k for k, v in _GROUP_TAGS.items()}
 
 
+@contextmanager
+def _replacing(path):
+    """Open a temporary file beside ``path`` for binary writing. When the
+    block ends cleanly the file replaces ``path`` in one ``os.replace``;
+    when it raises, the file is removed. Either way ``path`` never holds a
+    half-written file, and an earlier file there stays as it was."""
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    f = open(tmp, "wb")
+    try:
+        with f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_checkpoint(params: ParamBundle, path) -> None:
     """Binary layout: magic ``SFCK``, version u32, tensor count u32, then per
     tensor: name length u32 + UTF-8 name, group tag byte, rank u32, extents
     u32 each, values as little-endian float64. All integers little-endian.
 
-    Each header and each tensor's buffer is written straight to the file,
-    with no copy of the whole file in memory.
+    Each header and each tensor's buffer is written straight to a temporary
+    file, with no copy of the whole file in memory, which then replaces
+    ``path`` (see ``_replacing``).
     """
     records = params.named("all")
     pieces = [CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(records))]
@@ -239,7 +260,7 @@ def save_checkpoint(params: ParamBundle, path) -> None:
         pieces.append(struct.pack(f"<I{len(encoded)}sBI{len(shape)}I", len(encoded), encoded,
                                   _GROUP_TAGS[tag], len(shape), *shape))
         pieces.append(np.ascontiguousarray(t.data, dtype="<f8"))
-    with open(path, "wb") as f:
+    with _replacing(path) as f:
         for piece in pieces:
             f.write(piece)
 

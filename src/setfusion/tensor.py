@@ -301,9 +301,12 @@ def side_by_side(calls: Sequence[Callable[[], object]]) -> list:
     call runs on the caller, in order. The calls must write to no shared
     array, must not call ``side_by_side`` themselves and must call numpy
     directly, never a module attribute that can be patched: the rest of the
-    library runs on one thread. Every call has finished when this returns or
-    raises, and an exception reaches the caller as it was raised, the
-    first call's before a worker's.
+    library runs on one thread. Only numpy's work inside a call runs
+    without the GIL, and each numpy call takes it again, so a call should
+    be a few large numpy calls; that is why Adam's shares walk the largest
+    blocks that stay in L2 (``training.ADAM_BLOCK``). Every call has
+    finished when this returns or raises, and an exception reaches the
+    caller as it was raised, the first call's before a worker's.
     """
     if CPU_WORKERS < 1 or len(calls) < 2:
         return [call() for call in calls]

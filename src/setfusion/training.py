@@ -55,9 +55,13 @@ shares by ``tensor.share_cuts``, one per CPU that ``tensor.side_by_side``
 uses (the caller's and each free one) or fewer, each of at least
 ``ADAM_SHARE_FLOOR`` elements, and runs the shares side by side, each with
 its own scratch buffer. Each block is written by one thread with the same
-elementwise ops, so the bits do not depend on the CPU count. At the
-default widths only the base group is large enough to split; stage 2's
-attention group and the GRU's run on the calling thread alone.
+elementwise ops, so the bits do not depend on the CPU count or the block
+size. The block size trades two costs: a block's five slices (data, grad,
+m, v, scratch) should stay in L2, and every numpy call a share makes takes
+the GIL again, so fewer, larger blocks mean fewer handoffs between the
+shares. At the default widths only the base group is large enough to
+split; stage 2's attention group and the GRU's run on the calling thread
+alone.
 """
 
 from __future__ import annotations
@@ -93,12 +97,16 @@ __all__ = [
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-# Adam walks each tensor in blocks of this many elements, so the block's
-# slices of data, grad, m, v and the scratch buffer (5 x 128 KB) stay in L2.
+# Adam walks each tensor in blocks of this many elements. It is the largest
+# block whose slices of data, grad, m, v and the scratch buffer (5 x 256 KB)
+# stay in a 2 MB L2. Each block costs 13 numpy calls, and each call takes
+# the GIL again, so a larger block halves the handoffs between the shares:
+# the base group's two-share update read 12.6 ms at 16384 and 10.9 ms at
+# 32768, while 131072 spilled L2 and read 11.8 ms (BENCH_adam_block.json).
 # Blocks are the unit of the per-CPU shares: a share is a run of whole
 # blocks with a scratch buffer of its own, so no block is split between
 # threads.
-ADAM_BLOCK = 16384
+ADAM_BLOCK = 32768
 # A group splits into shares (tensor.share_cuts) of at least this many
 # elements, counted at the group's mean block size. Below it the handoff
 # costs more than a share saves: the GRU's 98,688-element group (9 blocks)
@@ -192,8 +200,9 @@ class OptimizerState:
     """Adam's state for one parameter group: per-tensor moments (flat),
     keyed by parameter name, the group's step count ``t``, and one
     block-sized scratch buffer per share of an update (see
-    ``optimizer_step``), which every later update reuses. A state is
-    stepped as a whole group, so one count serves every tensor."""
+    ``optimizer_step``), which every later update reuses while it is at
+    least ``ADAM_BLOCK`` long. A state is stepped as a whole group, so one
+    count serves every tensor."""
 
     def __init__(self):
         self.m: dict[str, np.ndarray] = {}
@@ -241,6 +250,7 @@ def optimizer_step(params: ParamBundle, group: str, lr: float, state: OptimizerS
             blocks.append((g[lo:hi], m[lo:hi], v[lo:hi], data[lo:hi]))
     cuts = T.share_cuts(len(blocks), sum(tensor.size for _, _, tensor in named),
                         ADAM_SHARE_FLOOR)
+    state.scratch[:] = [buf for buf in state.scratch if buf.size >= ADAM_BLOCK]
     while len(state.scratch) < len(cuts) - 1:
         state.scratch.append(np.empty(ADAM_BLOCK))
     T.side_by_side([partial(_adam_blocks, blocks[lo:hi], scratch, bc2, step_size)

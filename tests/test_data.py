@@ -197,6 +197,25 @@ def test_generate_writes_both_splits(small_dataset):
     assert set(report["paths"]) == {"train", "test"}
 
 
+@pytest.mark.parametrize("writes", [1, 8, 11], ids=["in-train", "in-test", "at-report"])
+def test_an_interrupted_generate_leaves_only_whole_files(tmp_path, disk_fills, writes):
+    """Train takes 7 writes (header and 6 samples), test 4, the report 1.
+    Each file stays as the earlier run left it until its new one is whole."""
+    new_meta = D.DatasetMeta(**{**SMALL, "seed": 43})
+    D.generate_dataset(new_meta, tmp_path / "new")
+    new = {p.name: p.read_bytes() for p in (tmp_path / "new").iterdir()}
+    target = tmp_path / "target"
+    D.generate_dataset(D.DatasetMeta(**SMALL), target)
+    old = {p.name: p.read_bytes() for p in target.iterdir()}
+    disk_fills(writes)
+    with pytest.raises(OSError, match="No space"):
+        D.generate_dataset(new_meta, target)
+    got = {p.name: p.read_bytes() for p in target.iterdir()}
+    assert got.keys() == old.keys()
+    done = {"train.sfds": writes >= 7, "test.sfds": writes >= 11, "dataset_report.json": False}
+    assert got == {name: (new if done[name] else old)[name] for name in old}
+
+
 def test_generate_is_byte_deterministic(small_dataset, tmp_path):
     out, meta, _ = small_dataset
     D.generate_dataset(D.DatasetMeta(**SMALL), tmp_path)

@@ -188,6 +188,17 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         assert np.array_equal(t1.data, t2.data)
 
 
+def test_an_interrupted_save_leaves_the_earlier_checkpoint(tmp_path, disk_fills):
+    path = tmp_path / "model.sfck"
+    M.save_checkpoint(M.model_init(tiny_cfg(seed=11)), path)
+    before = path.read_bytes()
+    disk_fills(1)  # the magic and header go through, the first tensor does not
+    with pytest.raises(OSError, match="No space"):
+        M.save_checkpoint(M.model_init(tiny_cfg(seed=12)), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.sfck"]
+
+
 def test_checkpoint_roundtrip_gru(tmp_path):
     params = M.model_init(tiny_cfg(aggregator_kind="gru", seed=12))
     path = tmp_path / "model.sfck"

@@ -140,13 +140,6 @@ def test_blocked_adam_matches_unblocked_formula():
     _check_adam_against_unblocked(1)  # 7 blocks, below the share floor on any host
 
 
-@pytest.mark.parametrize("workers", [0, 2], ids=["1-share", "3-shares"])
-def test_adam_shares_match_unblocked_formula(monkeypatch, workers):
-    monkeypatch.setattr(T, "CPU_WORKERS", workers)
-    monkeypatch.setattr(TR, "ADAM_SHARE_FLOOR", 1)  # so that every block may be a share
-    _check_adam_against_unblocked(1 + workers)
-
-
 @pytest.mark.parametrize("workers", [1, 3])
 def test_only_a_group_above_the_share_floor_splits(monkeypatch, workers):
     monkeypatch.setattr(T, "CPU_WORKERS", workers)
@@ -162,9 +155,40 @@ def test_only_a_group_above_the_share_floor_splits(monkeypatch, workers):
     assert shares == {"base": 1 + workers, "att": 1}
 
 
-def _check_adam_against_unblocked(shares):
+# The shapes that the block-size tests use, whatever block they patch in:
+# one tensor of 16384 elements, one of 32768 and one ragged at either size.
+_SHAPE_BLOCK = 16384
+
+
+@pytest.mark.parametrize("workers", [0, 1, 2, 3])
+@pytest.mark.parametrize("block", [8, 16384, 32768, 2 * _SHAPE_BLOCK + 1],
+                         ids=["8", "16384", "32768", "above-every-tensor"])
+def test_adam_bytes_do_not_depend_on_the_block_size(monkeypatch, block, workers):
+    """Every block size and share count gives the unblocked update's bytes."""
+    monkeypatch.setattr(TR, "ADAM_BLOCK", block)
+    monkeypatch.setattr(T, "CPU_WORKERS", workers)
+    monkeypatch.setattr(TR, "ADAM_SHARE_FLOOR", 1)  # every group here has at least 5 blocks
+    _check_adam_against_unblocked(1 + workers, scale=_SHAPE_BLOCK)
+
+
+def test_a_state_reused_across_a_larger_block_keeps_its_bytes(monkeypatch):
+    monkeypatch.setattr(T, "CPU_WORKERS", 1)
+    monkeypatch.setattr(TR, "ADAM_SHARE_FLOOR", 1)
+    monkeypatch.setattr(TR, "ADAM_BLOCK", _SHAPE_BLOCK)
+
+    def grow_block(step):  # steps 3 and 4 reuse the scratch buffers of steps 1 and 2
+        monkeypatch.setattr(TR, "ADAM_BLOCK", 2 * _SHAPE_BLOCK if step > 2 else _SHAPE_BLOCK)
+
+    state = _check_adam_against_unblocked(2, scale=_SHAPE_BLOCK, before_step=grow_block)
+    assert all(buf.size >= 2 * _SHAPE_BLOCK for buf in state.scratch)
+
+
+def _check_adam_against_unblocked(shares, scale=None, before_step=lambda step: None):
+    """Four Adam steps over tensors sized by ``scale`` (``ADAM_BLOCK`` when
+    None) must give ``_adam_unblocked``'s bytes and use ``shares`` scratch
+    buffers; ``before_step(step)`` runs before each update."""
     rng = np.random.default_rng(11)
-    block = TR.ADAM_BLOCK
+    block = TR.ADAM_BLOCK if scale is None else scale
     shapes = {"small": (7, 3), "one_block": (block,), "two_blocks": (2, block),
               "ragged": (3, block // 2 + 5)}
     params = M.ParamBundle(base={k: Tensor(rng.standard_normal(s), requires_grad=True)
@@ -177,10 +201,12 @@ def _check_adam_against_unblocked(shares):
         for name, t in params.base.items():
             t.grad = rng.standard_normal(t.size) * 10.0 ** rng.integers(-3, 3)
             _adam_unblocked(want[name], t.grad.reshape(t.shape), *moments[name], step, 1e-2)
+        before_step(step)
         TR.optimizer_step(params, "base", 1e-2, state)
         for name, t in params.base.items():
             assert np.array_equal(t.data, want[name]), (name, step)
     assert len(state.scratch) == shares
+    return state
 
 
 def test_an_error_in_a_worker_share_reaches_the_caller(monkeypatch):
